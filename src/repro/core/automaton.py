@@ -42,6 +42,10 @@ class Automaton:
         self._pred: dict[str, list[str]] = {}
         #: counter ident -> elements wired to its reset port (Section XI)
         self._resets: dict[str, list[str]] = {}
+        #: Activation-edge count, kept in step with ``_succ``.
+        self._n_edges = 0
+        #: Structural mutation counter; see :attr:`generation`.
+        self._generation = 0
 
     # -- construction ------------------------------------------------------
 
@@ -52,6 +56,7 @@ class Automaton:
         self._elements[element.ident] = element
         self._succ[element.ident] = []
         self._pred[element.ident] = []
+        self._generation += 1
         return element
 
     def add_ste(
@@ -94,6 +99,8 @@ class Automaton:
         if dst not in self._succ[src]:
             self._succ[src].append(dst)
             self._pred[dst].append(src)
+            self._n_edges += 1
+            self._generation += 1
 
     def add_reset_edge(self, src: str, counter: str) -> None:
         """Wire ``src``'s match to a counter's *reset* port.
@@ -110,6 +117,7 @@ class Automaton:
         sources = self._resets.setdefault(counter, [])
         if src not in sources:
             sources.append(src)
+            self._generation += 1
 
     def reset_predecessors(self, counter: str) -> list[str]:
         """Elements wired to ``counter``'s reset port."""
@@ -125,15 +133,21 @@ class Automaton:
         """Remove an element and all incident edges."""
         if ident not in self._elements:
             raise AutomatonError(f"no such element: {ident!r}")
-        for dst in self._succ.pop(ident):
+        succ = self._succ.pop(ident)
+        for dst in succ:
             self._pred[dst].remove(ident)
-        for src in self._pred.pop(ident):
+        # A self-loop was just dropped from ``_pred[ident]`` above, so the
+        # popped predecessor list holds only the other incoming edges.
+        pred = self._pred.pop(ident)
+        for src in pred:
             self._succ[src].remove(ident)
+        self._n_edges -= len(succ) + len(pred)
         self._resets.pop(ident, None)
         for sources in self._resets.values():
             if ident in sources:
                 sources.remove(ident)
         del self._elements[ident]
+        self._generation += 1
 
     # -- access ------------------------------------------------------------
 
@@ -185,7 +199,20 @@ class Automaton:
 
     @property
     def n_edges(self) -> int:
-        return sum(len(dsts) for dsts in self._succ.values())
+        """Number of activation edges (reset wires not included); O(1)."""
+        return self._n_edges
+
+    @property
+    def generation(self) -> int:
+        """Structural mutation counter.
+
+        Increases on every :meth:`add_element`, every *new*
+        :meth:`add_edge` / :meth:`add_reset_edge` wire and every
+        :meth:`remove_element`; a value seen earlier on the same object
+        means the graph has not changed since.  Mutating an element object
+        in place (e.g. reassigning an STE's ``charset``) is not tracked.
+        """
+        return self._generation
 
     def start_elements(self) -> list[STE]:
         """All STEs with a start mode."""

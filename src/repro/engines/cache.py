@@ -32,8 +32,12 @@ returned.
 
 The fingerprint is a structural SHA-256 over elements, charsets, start and
 report flags, edges and reset wires.  It is cached on the automaton object
-and revalidated against ``(n_states, n_edges)``; in-place mutations that
-preserve both counts (e.g. swapping one charset) are not detected, so call
+and revalidated against the automaton's mutation generation
+(:attr:`~repro.core.automaton.Automaton.generation`), which every added or
+removed element and every new edge or reset wire bumps — an O(1) check, so
+a warm cache lookup costs the same for a 10-state and a 10^6-state
+automaton.  The one blind spot is mutating an element object in place
+(e.g. reassigning an STE's ``charset``): the graph is unchanged, so call
 :func:`automaton_fingerprint` with ``use_cache=False`` after such surgery.
 """
 
@@ -75,13 +79,16 @@ def automaton_fingerprint(automaton: Automaton, *, use_cache: bool = True) -> st
     Two automata with the same elements (idents, charsets, start modes,
     report flags/codes, counter targets/modes), edges and reset wires get
     the same fingerprint, regardless of object identity or pickling.  The
-    digest is stashed on the automaton and revalidated against
-    ``(n_states, n_edges)``; pass ``use_cache=False`` to force a
-    recomputation after an in-place mutation that preserves both counts.
+    digest is stashed on the automaton together with its mutation
+    generation and reused while the generation is unchanged, so any
+    structural edit (element, edge or reset wire added or removed) forces a
+    recomputation.  Mutating an element object in place (e.g. reassigning
+    an STE's ``charset``) does not bump the generation; pass
+    ``use_cache=False`` after such an edit.
     """
-    guard = (automaton.n_states, automaton.n_edges)
+    generation = automaton.generation
     stamp = getattr(automaton, _FINGERPRINT_ATTR, None)
-    if use_cache and stamp is not None and stamp[0] == guard:
+    if use_cache and stamp is not None and stamp[0] == generation:
         return stamp[1]
     h = hashlib.sha256()
     update = h.update
@@ -119,7 +126,7 @@ def automaton_fingerprint(automaton: Automaton, *, use_cache: bool = True) -> st
         update(b"\x06")
     digest = h.hexdigest()
     try:
-        setattr(automaton, _FINGERPRINT_ATTR, (guard, digest))
+        setattr(automaton, _FINGERPRINT_ATTR, (generation, digest))
     except AttributeError:  # pragma: no cover - slotted subclasses
         pass
     return digest

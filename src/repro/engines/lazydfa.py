@@ -158,8 +158,14 @@ class LazyDFAEngine(Engine):
             telemetry.incr("lazydfa.memo_computes")
             current = self._id_to_set[sid]
             matched = [i for i in current if self._charsets[i].matches(symbol)]
+            # Sorted by ident, so a feed's reports come out in
+            # ReportEvent order (offset, ident) without a final sort.
             emits = tuple(
-                (self._idents[i], self._codes[i]) for i in matched if self._report[i]
+                sorted(
+                    (self._idents[i], self._codes[i])
+                    for i in matched
+                    if self._report[i]
+                )
             )
             nxt: set[int] = set(self._all_input)
             for i in matched:
@@ -291,7 +297,6 @@ class LazyDFAStream:
                     promoted_this_feed = engine._promote()
         self._sid = sid
         self.offset = base + length
-        reports.sort()
         if scan_t0 is not None:
             telemetry.record_scan("lazydfa", scan_t0, length, len(reports))
         return reports

@@ -1,9 +1,14 @@
 """Unit tests for repro.core.automaton and repro.core.elements."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import Automaton, CharSet, CounterElement, STE, StartMode
 from repro.core.elements import CounterMode
+from repro.engines.cache import automaton_fingerprint
 from repro.errors import AutomatonError
 
 
@@ -151,3 +156,57 @@ class TestComposition:
         starts = u.start_elements()
         assert len(starts) == 1
         assert starts[0].start is StartMode.START_OF_DATA
+
+
+# One mutation step: (operation, two free integers used to pick operands).
+_STEPS = st.lists(
+    st.tuples(
+        st.sampled_from(["edge", "remove", "add", "reset", "merge", "clone", "pickle"]),
+        st.integers(0, 63),
+        st.integers(0, 63),
+    ),
+    max_size=40,
+)
+
+
+def _recount(a: Automaton) -> int:
+    return sum(len(a.successors(ident)) for ident in a.idents())
+
+
+class TestEdgeCounter:
+    """``n_edges`` is a maintained counter; it must always equal a recount,
+    and the cached fingerprint must always equal a fresh one."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(steps=_STEPS)
+    def test_counter_and_fingerprint_follow_every_mutation(self, steps):
+        a = chain(pattern="abcd")
+        a.add_counter("k", 2, report=True)
+        a.add_edge("s1", "k")
+        fresh = 0
+        for op, x, y in steps:
+            automaton_fingerprint(a)  # stamp before every mutation
+            idents = list(a.idents())
+            if op == "edge" and idents:
+                # x == y gives self-loops; repeats give duplicates
+                a.add_edge(idents[x % len(idents)], idents[y % len(idents)])
+            elif op == "remove" and idents:
+                a.remove_element(idents[x % len(idents)])
+            elif op == "add":
+                fresh += 1
+                a.add_ste(f"n{fresh}", CharSet.from_chars("abcd"[x % 4]))
+            elif op == "reset":
+                counters = [c.ident for c in a.counters()]
+                if counters and idents:
+                    a.add_reset_edge(idents[x % len(idents)], counters[y % len(counters)])
+            elif op == "merge":
+                fresh += 1
+                other = chain(pattern="xy"[: 1 + x % 2])
+                other.add_edge("s0", "s0")
+                a.merge(other, prefix=f"m{fresh}.")
+            elif op == "clone":
+                a = a.clone()
+            elif op == "pickle":
+                a = pickle.loads(pickle.dumps(a))
+            assert a.n_edges == _recount(a)
+            assert automaton_fingerprint(a) == automaton_fingerprint(a, use_cache=False)

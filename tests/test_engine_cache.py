@@ -217,3 +217,52 @@ class TestTypeRevalidation:
         assert type(compiled_engine(automaton, BitsetEngine)) is BitsetEngine
         assert type(compiled_engine(automaton, VectorEngine)) is VectorEngine
         assert type(compiled_engine(automaton, LazyDFAEngine)) is LazyDFAEngine
+
+
+class TestGenerationRevalidation:
+    """The fingerprint stamp follows the automaton's mutation generation,
+    so edits that keep ``(n_states, n_edges)`` unchanged still miss: reset
+    wires are not edges, and an element replaced by a different one keeps
+    both counts."""
+
+    @staticmethod
+    def counter_with_reset_source() -> Automaton:
+        a = Automaton("reset")
+        a.add_ste("s", CharSet.from_chars("a"), start=StartMode.ALL_INPUT)
+        a.add_counter("c", 2, report=True)
+        a.add_edge("s", "c")
+        a.add_ste("r", CharSet.from_chars("b"), start=StartMode.ALL_INPUT)
+        return a
+
+    @pytest.mark.parametrize("engine_cls", [VectorEngine, BitsetEngine])
+    def test_add_reset_edge_invalidates_cached_engine(self, engine_cls):
+        a = self.counter_with_reset_source()
+        before = compiled_engine(a, engine_cls)
+        assert [r.offset for r in before.run(b"aba").reports] == [2]
+
+        a.add_reset_edge("r", "c")
+        engine = compiled_engine(a, engine_cls)
+        reference = ReferenceEngine(a)
+        for data, expected in ((b"aba", []), (b"abaa", [3])):
+            assert [r.offset for r in reference.run(data).reports] == expected
+            assert [r.offset for r in engine.run(data).reports] == expected
+
+    def test_count_preserving_replacement_changes_fingerprint(self):
+        a = literal("ab")
+        first = automaton_fingerprint(a)
+        a.remove_element("s1")
+        a.add_ste("s1", CharSet.from_chars("z"), report=True)
+        a.add_edge("s0", "s1")
+        assert (a.n_states, a.n_edges) == (2, 1)
+        assert automaton_fingerprint(a) != first
+        assert automaton_fingerprint(a) == automaton_fingerprint(a, use_cache=False)
+
+    def test_duplicate_wires_keep_the_stamp(self):
+        a = self.counter_with_reset_source()
+        a.add_reset_edge("r", "c")
+        automaton_fingerprint(a)
+        generation = a.generation
+        a.add_edge("s", "c")
+        a.add_reset_edge("r", "c")
+        assert a.generation == generation
+        assert a._repro_fingerprint[0] == generation

@@ -89,3 +89,46 @@ def test_any_chunking_equals_run_property(pattern, data, cuts, engine_index):
     whole = engine.run(data).reports
     chunked, _ = chunked_reports(engine, data, cuts)
     assert sorted(chunked) == whole
+
+
+class TestLazyDFAReportOrder:
+    """The lazy DFA emits reports in ``(offset, ident)`` order by
+    construction — each memoised emit tuple is sorted by ident — so its
+    feed loop has no final sort.  Reporting STEs inserted in reverse
+    lexical order would come out unsorted if a tuple were not."""
+
+    @staticmethod
+    def reverse_order_reporters() -> Automaton:
+        a = Automaton("reverse")
+        for ident in ["r9", "r7", "r5", "r3", "r1", "q"]:
+            a.add_ste(ident, CharSet.from_chars("x"), start=StartMode.ALL_INPUT,
+                      report=ident != "q", report_code=ident)
+        # q -> r0 adds a reporter whose enablement depends on history
+        a.add_ste("r0", CharSet.from_chars("x"), report=True, report_code="r0")
+        a.add_edge("q", "r0")
+        return a
+
+    # 3000 symbols: past the first 1024-symbol block, so the promoted
+    # dense-table path emits reports too.
+    DATA = (b"xxyx" + b"yxxxyyx" * 428)[:3000]
+
+    def test_run_reports_sorted_and_match_reference(self):
+        automaton = self.reverse_order_reporters()
+        expected = ReferenceEngine(automaton).run(self.DATA).reports
+        engine = LazyDFAEngine(automaton)
+        for _ in range(2):  # cold memo, then the warm (promoted) engine
+            reports = engine.run(self.DATA).reports
+            assert reports == sorted(reports)
+            assert reports == expected
+        assert engine._trans_rows is not None
+
+    @pytest.mark.parametrize("cuts", [[1, 2, 3], [500, 1100, 2047], [2999]])
+    def test_chunked_feed_sorted_and_matches_reference(self, cuts):
+        automaton = self.reverse_order_reporters()
+        expected = ReferenceEngine(automaton).run(self.DATA).reports
+        engine = LazyDFAEngine(automaton)
+        for _ in range(2):
+            reports, _ = chunked_reports(engine, self.DATA, cuts)
+            assert reports == sorted(reports)
+            assert reports == expected
+            assert [r.code for r in reports] == [r.code for r in expected]
