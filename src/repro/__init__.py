@@ -32,6 +32,7 @@ from repro.engines import (
     LazyDFAEngine,
     MICRON_D480,
     ReferenceEngine,
+    ReportBatch,
     ReportEvent,
     RunResult,
     SpatialModel,
@@ -68,6 +69,7 @@ __all__ = [
     "ReferenceEngine",
     "RegexError",
     "RegexUnsupportedError",
+    "ReportBatch",
     "ReportEvent",
     "ReproError",
     "RunResult",

@@ -38,7 +38,7 @@ def _verify_structure(benchmark: Benchmark, problems: list[str]) -> None:
 
 def _verify_clamav(benchmark: Benchmark, problems: list[str]) -> None:
     result = VectorEngine(benchmark.automaton).run(benchmark.input_data)
-    detected = {event.code for event in result.reports}
+    detected = {code for _offset, _ident, code in result.reports.iter_rows()}
     missing = set(benchmark.meta.get("planted", ())) - detected
     if missing:
         problems.append(f"planted virus fragments not detected: {sorted(missing)}")
@@ -46,7 +46,7 @@ def _verify_clamav(benchmark: Benchmark, problems: list[str]) -> None:
 
 def _verify_yara(benchmark: Benchmark, problems: list[str]) -> None:
     result = VectorEngine(benchmark.automaton).run(benchmark.input_data)
-    fired_rules = {event.code[0] for event in result.reports}
+    fired_rules = {code[0] for _offset, _ident, code in result.reports.iter_rows()}
     planted = set(benchmark.meta.get("planted", ()))
     # wide benchmarks include only wide strings; planted rules without
     # wide strings legitimately cannot fire there
@@ -63,7 +63,9 @@ def _verify_hamming(benchmark: Benchmark, problems: list[str]) -> None:
     result = _run(benchmark)
     symbols = min(len(benchmark.input_data), _INPUT_SLICE)
     expected = hamming_match_probability(l, d) * symbols * n_filters
-    observed = len({(r.offset, r.code[0]) for r in result.reports})
+    observed = len(
+        {(offset, code[0]) for offset, _ident, code in result.reports.iter_rows()}
+    )
     # Poisson-ish tolerance: generous bounds, catches gross breakage only
     if expected >= 5 and not (0.2 * expected <= observed <= 5 * expected):
         problems.append(

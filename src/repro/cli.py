@@ -422,11 +422,11 @@ def _cmd_grep(args) -> int:
     automaton = compile_regex(args.pattern, args.flags)
     data = pathlib.Path(args.file).read_bytes()
     result = auto_engine(automaton).run(data)
-    for event in result.reports:
-        start = max(0, event.offset - args.context)
-        end = min(len(data), event.offset + args.context + 1)
+    for offset, _ident, _code in result.reports.iter_rows():
+        start = max(0, offset - args.context)
+        end = min(len(data), offset + args.context + 1)
         snippet = data[start:end]
-        print(f"{event.offset}: {snippet!r}")
+        print(f"{offset}: {snippet!r}")
     return 0 if result.reports else 1
 
 

@@ -74,7 +74,8 @@ def benchmark_digest(
     result = auto_engine(bench.automaton).run(data)
     report_hash = hashlib.sha256()
     for event in sorted(
-        (e.offset, e.ident, repr(e.code)) for e in result.reports
+        (offset, ident, repr(code))
+        for offset, ident, code in result.reports.iter_rows()
     ):
         report_hash.update(repr(event).encode())
         report_hash.update(b"\n")

@@ -82,10 +82,14 @@ class Outcome:
         return frozenset((offset, code) for offset, _ident, code in self.reports)
 
 
-def _canonical_reports(reports) -> list[tuple[int, str, str]]:
+def _canonical_reports(batches) -> list[tuple[int, str, str]]:
     # ReportEvent.code is excluded from dataclass equality, so canonicalise
     # through repr() — the conformance diff must catch code corruption too.
-    return sorted((e.offset, e.ident, repr(e.code)) for e in reports)
+    return sorted(
+        (offset, ident, repr(code))
+        for batch in batches
+        for offset, ident, code in batch.iter_rows()
+    )
 
 
 def _counter_snapshot(stream) -> dict[str, tuple[int, bool, bool]]:
@@ -114,15 +118,15 @@ def engine_outcome(
     """
     with telemetry.span(f"conformance.scan.{type(engine).__name__}"):
         stream = engine.stream(record_active=True)
-        reports = []
+        batches = []
         for part in _chunks(data, chunk):
             if zero_feeds:
-                reports.extend(stream.feed(b""))
-            reports.extend(stream.feed(part))
+                batches.append(stream.feed(b""))
+            batches.append(stream.feed(part))
         if zero_feeds:
-            reports.extend(stream.feed(b""))
+            batches.append(stream.feed(b""))
     return Outcome(
-        reports=_canonical_reports(reports),
+        reports=_canonical_reports(batches),
         active=list(stream.active_per_cycle or []),
         cycles=stream.offset,
         counters=_counter_snapshot(stream),

@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.core.automaton import Automaton
 from repro.core.elements import STE, StartMode
-from repro.engines.base import ReportEvent, RunResult
+from repro.engines.base import ReportBatch, RunResult
 from repro.errors import CapacityError, EngineError
 
 __all__ = ["DFA"]
@@ -135,7 +135,7 @@ class DFA:
 
     def run(self, data: bytes) -> RunResult:
         """Scan ``data``; reports are deduplicated per (offset, code)."""
-        reports: list[ReportEvent] = []
+        reports = ReportBatch()
         state = self.start
         transitions = self.transitions
         emissions = self.emissions
@@ -144,10 +144,9 @@ class DFA:
             cls_index = int(symbol_class[symbol])
             codes = emissions[state].get(cls_index)
             if codes is not None:
-                for code in codes:
-                    reports.append(ReportEvent(offset, "dfa", code))
+                reports.offsets.append(offset)
+                reports.groups.append(tuple([("dfa", code) for code in codes]))
             state = int(transitions[state, cls_index])
-        reports.sort()
         return RunResult(reports=reports, cycles=len(data))
 
     # -- minimization ----------------------------------------------------------

@@ -6,7 +6,7 @@ and the benchmark harness to engine classes; ``compiled_engine`` /
 :mod:`repro.engines.cache`).
 """
 
-from repro.engines.base import Engine, ReportEvent, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportEvent, RunResult
 from repro.engines.bitset import BitsetEngine, BitsetStream
 from repro.engines.cache import (
     automaton_fingerprint,
@@ -58,6 +58,7 @@ __all__ = [
     "MICRON_D480",
     "ReferenceEngine",
     "ReferenceStream",
+    "ReportBatch",
     "ReportEvent",
     "RunResult",
     "SpatialModel",

@@ -32,7 +32,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import STE, StartMode
-from repro.engines.base import Engine, ReportEvent, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
 from repro.errors import CapacityError, EngineError
 from repro.resilience import faults
 from repro.resilience.guards import current_guard
@@ -64,15 +64,17 @@ class LazyDFAEngine(Engine):
         self._lock = threading.Lock()
 
         stes: list[STE] = list(automaton.stes())
-        self._idents = [ste.ident for ste in stes]
         index = {ste.ident: i for i, ste in enumerate(stes)}
         self._charsets = [ste.charset for ste in stes]
         self._succ = [
             tuple(sorted(index[s] for s in automaton.successors(ste.ident)))
             for ste in stes
         ]
-        self._report = [ste.report for ste in stes]
-        self._codes = [ste.report_code for ste in stes]
+        self._reports = ReportTable(automaton)
+        #: Report-table rank per STE; -1 for non-reporting STEs.
+        self._report_rank = [
+            self._reports.rank[ste.ident] if ste.report else -1 for ste in stes
+        ]
         self._all_input = frozenset(
             index[s.ident] for s in stes if s.start is StartMode.ALL_INPUT
         )
@@ -83,8 +85,8 @@ class LazyDFAEngine(Engine):
         )
 
         # DFA state table.  _trans[sid] is a length-256 int array; -1 marks
-        # a transition not yet computed.  _emits[sid][sym] is the tuple of
-        # (ident, code) reports fired when leaving sid on sym.
+        # a transition not yet computed.  _emits[sid][sym] is the report
+        # group (the ReportBatch group tuple) fired when leaving sid on sym.
         self._set_to_id: dict[frozenset[int], int] = {}
         self._id_to_set: list[frozenset[int]] = []
         self._trans: list[np.ndarray] = []
@@ -158,15 +160,11 @@ class LazyDFAEngine(Engine):
             telemetry.incr("lazydfa.memo_computes")
             current = self._id_to_set[sid]
             matched = [i for i in current if self._charsets[i].matches(symbol)]
-            # Sorted by ident, so a feed's reports come out in
-            # ReportEvent order (offset, ident) without a final sort.
-            emits = tuple(
-                sorted(
-                    (self._idents[i], self._codes[i])
-                    for i in matched
-                    if self._report[i]
-                )
-            )
+            # A ReportBatch group (sorted by ident), so the scan loops
+            # append it as is.
+            report_rank = self._report_rank
+            ranks = [report_rank[i] for i in matched if report_rank[i] >= 0]
+            emits = self._reports.group(ranks) if ranks else ()
             nxt: set[int] = set(self._all_input)
             for i in matched:
                 nxt.update(self._succ[i])
@@ -268,10 +266,10 @@ class LazyDFAStream:
         self.active_per_cycle: list[int] | None = [] if record_active else None
         self._sid = engine._initial_id
 
-    def feed(self, data: bytes) -> list[ReportEvent]:
+    def feed(self, data: bytes) -> ReportBatch:
         scan_t0 = telemetry.clock()
         engine = self._engine
-        reports: list[ReportEvent] = []
+        reports = ReportBatch()
         sid = self._sid
         base = self.offset
         length = len(data)
@@ -308,6 +306,8 @@ class LazyDFAStream:
         trans = engine._trans
         emits = engine._emits
         id_to_set = engine._id_to_set
+        offsets = reports.offsets
+        groups = reports.groups
         for index in range(pos, end):
             symbol = data[index]
             if active_counts is not None:
@@ -317,8 +317,8 @@ class LazyDFAStream:
                 nid = engine._compute(sid, symbol)
             hit = emits[sid].get(symbol)
             if hit is not None:
-                for ident, code in hit:
-                    reports.append(ReportEvent(base + index, ident, code))
+                offsets.append(base + index)
+                groups.append(hit)
             sid = nid
         return sid
 
@@ -340,6 +340,8 @@ class LazyDFAStream:
             return sid, pos
         emits = engine._emits
         id_to_set = engine._id_to_set
+        offsets_append = reports.offsets.append
+        groups_append = reports.groups.append
         for index in range(pos, end):
             symbol = data[index]
             if active_counts is not None:
@@ -349,11 +351,11 @@ class LazyDFAStream:
                 nid = engine._compute(sid, symbol)
                 hit = emits[sid].get(symbol)
                 if hit is not None:
-                    for ident, code in hit:
-                        reports.append(ReportEvent(base + index, ident, code))
+                    offsets_append(base + index)
+                    groups_append(hit)
                 return nid, index + 1
             if (emit_bits[sid] >> symbol) & 1:
-                for ident, code in emits[sid][symbol]:
-                    reports.append(ReportEvent(base + index, ident, code))
+                offsets_append(base + index)
+                groups_append(emits[sid][symbol])
             sid = nid
         return sid, end

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.baselines.aho_corasick import AhoCorasick
 from repro.core.automaton import Automaton
-from repro.engines.base import ReportEvent, RunResult
+from repro.engines.base import ReportBatch, RunResult
 from repro.errors import EngineError
 from repro.engines.vector import VectorEngine
 from repro.regex.ast_nodes import Alt, Concat, Empty, Literal, Node, Repeat
@@ -206,10 +206,11 @@ class PrefilterScanner:
         # Dedupe on (offset, ident, code): ReportEvent equality ignores the
         # code, but two rules sharing a pattern produce same-named states
         # with different codes and both reports must survive.
-        events: dict[tuple, ReportEvent] = {}
+        rows: dict[tuple[int, str, str], tuple[int, str, object]] = {}
 
-        def record(event: ReportEvent) -> None:
-            events[(event.offset, event.ident, repr(event.code))] = event
+        def record(batch: ReportBatch) -> None:
+            for offset, ident, code in batch.iter_rows():
+                rows[offset, ident, repr(code)] = (offset, ident, code)
         # candidate windows per rule from factor hits
         n_factor_hits = 0
         rules_confirmed = 0
@@ -224,8 +225,7 @@ class PrefilterScanner:
         for rule_index, rule in enumerate(self.rules):
             if rule.factors is None:
                 confirm_bytes += len(data)
-                for event in rule.engine.run(data).reports:
-                    record(event)
+                record(rule.engine.run(data).reports)
                 continue
             offsets = hits.get(rule_index)
             if not offsets:
@@ -234,8 +234,7 @@ class PrefilterScanner:
             rules_confirmed += 1
             if rule.window is None:
                 confirm_bytes += len(data)
-                for event in rule.engine.run(data).reports:
-                    record(event)
+                record(rule.engine.run(data).reports)
                 continue
             window = rule.window
             if rule.anchored:
@@ -243,8 +242,7 @@ class PrefilterScanner:
                 # slice not starting at 0 would re-anchor incorrectly
                 if min(offsets) <= window:
                     confirm_bytes += min(window, len(data))
-                    for event in rule.engine.run(data[:window]).reports:
-                        record(event)
+                    record(rule.engine.run(data[:window]).reports)
                 continue
             # merge overlapping candidate windows, then confirm
             spans: list[list[int]] = []
@@ -257,11 +255,8 @@ class PrefilterScanner:
                     spans.append([start, end])
             for start, end in spans:
                 confirm_bytes += end - start
-                for event in rule.engine.run(data[start:end]).reports:
-                    record(
-                        ReportEvent(event.offset + start, event.ident, event.code)
-                    )
-        reports = sorted(events.values(), key=lambda e: (e.offset, e.ident))
+                record(rule.engine.run(data[start:end]).reports.rebased(start))
+        reports = ReportBatch.from_rows(rows.values())
         if scan_t0 is not None:
             telemetry.record_scan("prefilter", scan_t0, len(data), len(reports))
             telemetry.incr("prefilter.factor_hits", n_factor_hits)

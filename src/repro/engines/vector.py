@@ -17,7 +17,7 @@ import numpy as np
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import Engine, ReportEvent, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
 from repro.engines.reference import _CounterState
 from repro.resilience.guards import GUARD_BLOCK, current_guard
 
@@ -33,7 +33,6 @@ class VectorEngine(Engine):
         super().__init__(automaton)
         compile_t0 = telemetry.clock()
         stes: list[STE] = list(automaton.stes())
-        self._idents = [ste.ident for ste in stes]
         self._index = {ste.ident: i for i, ste in enumerate(stes)}
         n = len(stes)
         self._n = n
@@ -68,7 +67,13 @@ class VectorEngine(Engine):
         )
 
         self._report_mask = np.fromiter((ste.report for ste in stes), dtype=bool, count=n)
-        self._report_codes = [ste.report_code for ste in stes]
+        self._reports = ReportTable(automaton)
+        #: Report-table rank per STE; -1 for non-reporting STEs.
+        self._report_rank = np.fromiter(
+            (self._reports.rank[ste.ident] if ste.report else -1 for ste in stes),
+            dtype=np.int64,
+            count=n,
+        )
         self._reset_feeds: dict[int, list[str]] = {}
         for src, counter in automaton.reset_edges():
             if src in self._index:
@@ -159,10 +164,10 @@ class VectorStream:
         }
         self._enabled = engine._initial
 
-    def feed(self, data: bytes) -> list[ReportEvent]:
+    def feed(self, data: bytes) -> ReportBatch:
         scan_t0 = telemetry.clock()
         engine = self._engine
-        reports: list[ReportEvent] = []
+        reports = ReportBatch()
         active_counts = self.active_per_cycle
         counter_state = self._counter_state
         buffer = np.frombuffer(data, dtype=np.uint8) if data else np.empty(0, np.uint8)
@@ -188,12 +193,12 @@ class VectorStream:
                 enabled = engine._all_input
                 continue
 
+            # Report-table ranks of this cycle's reporters.
+            ranks: list[int] = []
             if engine._any_report:
-                for i in matched[engine._report_mask[matched]]:
-                    i = int(i)
-                    reports.append(
-                        ReportEvent(offset, engine._idents[i], engine._report_codes[i])
-                    )
+                ranks = engine._report_rank[
+                    matched[engine._report_mask[matched]]
+                ].tolist()
 
             next_parts = [engine._gather_successors(matched)]
 
@@ -211,21 +216,18 @@ class VectorStream:
                     for counter_ident in sorted(events):
                         state = counter_state[counter_ident]
                         if state.on_count_event():
-                            element = state.element
-                            if element.report:
-                                reports.append(
-                                    ReportEvent(
-                                        offset, counter_ident, element.report_code
-                                    )
-                                )
+                            if state.element.report:
+                                ranks.append(engine._reports.rank[counter_ident])
                             next_parts.append(engine._counter_succ[counter_ident])
 
+            if ranks:
+                reports.offsets.append(offset)
+                reports.groups.append(engine._reports.group(ranks))
             next_parts.append(engine._all_input)
             enabled = np.unique(np.concatenate(next_parts))
 
         self._enabled = enabled
         self.offset = base + len(data)
-        reports.sort()
         if scan_t0 is not None:
             telemetry.record_scan("vector", scan_t0, len(data), len(reports))
         return reports

@@ -52,7 +52,7 @@ def _count_matches(kernel: str, pattern: bytes, data: bytes, d: int, method: str
         else:
             automaton = levenshtein_automaton(pattern, d)
         result = VectorEngine(automaton).run(data)
-        return len({r.offset for r in result.reports})
+        return len(result.reports.offsets)
     raise ValueError(f"unknown method {method!r}")
 
 

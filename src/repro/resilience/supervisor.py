@@ -24,9 +24,12 @@ changes is what happens when a segment scan misbehaves:
   the scan completes with a partial (but deterministic) result instead
   of dying, and ``complete`` is ``False``.
 
-The merge is deterministic regardless of completion order: reports are
-re-offset into stream coordinates, filtered to each segment's keep
-range, and sorted — identical segments in, identical stream out.
+The merge is deterministic regardless of completion order: each
+segment's :class:`~repro.engines.base.ReportBatch` is re-offset into
+stream coordinates and keep-filtered (:meth:`ReportBatch.rebased`), and
+the batches are concatenated in segment order
+(:meth:`ReportBatch.concat`).  Keep ranges partition the input in order,
+so no sort is needed — identical segments in, identical stream out.
 
 Telemetry: ``resilience.segment.timeout``, ``resilience.segment.crash``,
 ``resilience.pool.broken``, ``resilience.segment.retries``,
@@ -46,7 +49,7 @@ from dataclasses import dataclass, field
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.engines import ENGINE_REGISTRY
-from repro.engines.base import ReportEvent, RunResult
+from repro.engines.base import ReportBatch, RunResult
 from repro.engines.cache import compiled_engine
 from repro.engines.parallel import Segment, split_with_overlap
 from repro.engines.prefilter import max_match_length
@@ -137,7 +140,7 @@ class SupervisedScanResult:
 
 
 def _scan_segment_supervised(args):
-    """Pool-side single attempt: scan one pre-sliced chunk, return events.
+    """Pool-side single attempt: scan one pre-sliced chunk, return its batch.
 
     Module-level and fed only picklable arguments so it works on process
     pools.  Mirrors the telemetry protocol of the original serial path:
@@ -159,11 +162,7 @@ def _scan_segment_supervised(args):
         guard = ScanGuard(budget, segment=index) if budget else None
         with telemetry.span("parallel.segment"), guard_scope(guard):
             result = engine.run(chunk)
-        events = [
-            ReportEvent(event.offset + segment.scan_start, event.ident, event.code)
-            for event in result.reports
-            if event.offset + segment.scan_start >= segment.keep_from
-        ]
+        events = result.reports.rebased(segment.scan_start, segment.keep_from)
         error = None
     except ReproError as exc:
         # Ship library failures back as values: the supervisor owns the
@@ -203,12 +202,12 @@ def _retry_segment(
     label: str,
     config: SupervisorConfig,
     rng: random.Random,
-) -> list[ReportEvent] | None:
+) -> ReportBatch | None:
     """Supervisor-side retries for one failed segment.
 
     Runs in the supervisor's process (the pool may be broken), walking
-    the fallback ladder per attempt.  Returns the keep-filtered events,
-    or ``None`` once the segment is poisoned.
+    the fallback ladder per attempt.  Returns the re-offset, keep-filtered
+    batch, or ``None`` once the segment is poisoned.
     """
     if config.ladder_retries and label in ENGINE_REGISTRY:
         ladder = ladder_from(label)
@@ -236,11 +235,7 @@ def _retry_segment(
             continue
         report.engine = outcome.engine
         report.failures.extend(outcome.fallbacks)
-        return [
-            ReportEvent(event.offset + segment.scan_start, event.ident, event.code)
-            for event in outcome.result.reports
-            if event.offset + segment.scan_start >= segment.keep_from
-        ]
+        return outcome.result.reports.rebased(segment.scan_start, segment.keep_from)
     telemetry.incr("resilience.segment.poisoned")
     report.engine = None
     report.error = report.failures[-1][1] if report.failures else "exhausted attempts"
@@ -294,7 +289,7 @@ def supervised_parallel_scan(
     plan = faults.active_plan()
     parent_pid = os.getpid()
     reports = [SegmentReport(index=i, segment=s) for i, s in enumerate(segments)]
-    events_by_segment: list[list[ReportEvent] | None] = [None] * len(segments)
+    events_by_segment: list[ReportBatch | None] = [None] * len(segments)
 
     def task_for(index: int):
         segment = segments[index]
@@ -380,11 +375,8 @@ def supervised_parallel_scan(
             telemetry.incr("resilience.segment.poisoned")
             reports[index].error = reports[index].failures[-1][1]
 
-    merged = sorted(
-        event
-        for events in events_by_segment
-        if events is not None
-        for event in events
+    merged = ReportBatch.concat(
+        events for events in events_by_segment if events is not None
     )
     return SupervisedScanResult(
         result=RunResult(reports=merged, cycles=len(data)),

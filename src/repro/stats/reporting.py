@@ -71,8 +71,9 @@ def analyze_report_pressure(
         raise ValueError("window size and budget must be positive")
     n_windows = (result.cycles + window_size - 1) // window_size
     counts = [0] * max(n_windows, 1)
-    for event in result.reports:
-        counts[event.offset // window_size] += 1
+    reports = result.reports
+    for offset, group in zip(reports.offsets, reports.groups):
+        counts[offset // window_size] += len(group)
     overflowing = sum(1 for c in counts if c > budget_per_window)
     stall = sum(
         (c + budget_per_window - 1) // budget_per_window - 1

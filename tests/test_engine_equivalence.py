@@ -10,7 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import Automaton, CharSet, CounterMode, StartMode
-from repro.engines import BitsetEngine, LazyDFAEngine, ReferenceEngine, VectorEngine
+from repro.engines import (
+    BitsetEngine,
+    LazyDFAEngine,
+    ReferenceEngine,
+    ReportBatch,
+    VectorEngine,
+)
 
 ALPHABET = b"abcd"
 
@@ -137,13 +143,12 @@ def test_bitset_density_heuristic_switches_paths():
     ref = ReferenceEngine(a).run(data)
     stream = BitsetEngine(a).stream()
     assert not stream._use_block
-    reports = stream.feed(b"a" * 600)
+    batches = [stream.feed(b"a" * 600)]
     assert stream._use_block  # dense stretch: matched count >> cutover
-    reports += stream.feed(b"b" * 600)
+    batches.append(stream.feed(b"b" * 600))
     assert not stream._use_block  # dead stretch: back to the sparse path
-    reports += stream.feed(b"a" * 10)
-    reports.sort()
-    assert reports == ref.reports
+    batches.append(stream.feed(b"a" * 10))
+    assert ReportBatch.concat(batches) == ref.reports
 
 
 @settings(max_examples=50, deadline=None)
