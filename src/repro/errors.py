@@ -126,9 +126,9 @@ class ScanTimeout(ResilienceError):
 class MemoryBudgetExceeded(ResilienceError):
     """A memoisation structure outgrew its byte budget.
 
-    Raised by the lazy-DFA memo guard after demotion (dropping the dense
-    promoted tables) was not enough; the fallback ladder turns it into a
-    rerun on the next engine down.
+    Raised by the lazy-DFA memo guard when the memo estimate exceeds
+    ``memo_bytes``; the fallback ladder turns it into a rerun on the next
+    engine down.
     """
 
     def __init__(

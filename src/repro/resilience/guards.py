@@ -15,11 +15,10 @@ Two budgets exist today:
 * ``wall_s`` — a per-attempt deadline.  Tripping raises
   :class:`~repro.errors.ScanTimeout` with the engine label and the offset
   reached.
-* ``memo_bytes`` — a cap on the lazy-DFA memo table.  The engine first
-  *demotes* (drops its dense promoted tables and stops re-promoting);
-  when the raw memo alone exceeds the budget it raises
-  :class:`~repro.errors.MemoryBudgetExceeded` — hard degradation, which
-  the fallback ladder turns into a rerun on the next engine down.
+* ``memo_bytes`` — a cap on the lazy-DFA memo table.  The engine raises
+  :class:`~repro.errors.MemoryBudgetExceeded` when its memo estimate
+  exceeds the budget — hard degradation, which the fallback ladder turns
+  into a rerun on the next engine down.
 """
 
 from __future__ import annotations
@@ -76,10 +75,6 @@ class ScanGuard:
         if self.memo_budget is not None and used_bytes > self.memo_budget:
             telemetry.incr("resilience.guard.memo_budget")
             raise MemoryBudgetExceeded(engine, used_bytes, self.memo_budget)
-
-    def memo_headroom(self, used_bytes: int) -> bool:
-        """True if ``used_bytes`` still fits the memo budget (no raise)."""
-        return self.memo_budget is None or used_bytes <= self.memo_budget
 
 
 _local = threading.local()

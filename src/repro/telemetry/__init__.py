@@ -4,7 +4,7 @@ The paper's central metrics (active set, report rate, throughput) are
 *measurements*, and measurements of unobserved engine internals are not
 auditable.  This package is the repo's single observability substrate:
 engines record compile/scan timings, the compile cache records hits and
-misses, the lazy DFA records memo growth and promotions, the prefilter
+misses, the lazy DFA records memo growth, the prefilter
 records accept rates, and ``parallel_scan`` merges worker counters back
 into the parent process — all behind a module-level switch whose disabled
 path is one branch per call site.

@@ -135,12 +135,10 @@ class TestSharedEngineThreadSafety:
     def test_lazydfa_hammer_from_many_threads(self):
         """Regression: one cached LazyDFAEngine hammered by many threads.
 
-        The lazy DFA grows its memo (and promotes/demotes its dense tables)
-        while scanning; before the engine grew its own lock this corrupted
-        shared state under contention — threads saw half-published
-        promotion tables or transitions without their emits.  The pattern
-        forces a large subset space so memoisation, promotion, and scanning
-        genuinely interleave.
+        The lazy DFA grows its memo while scanning; before the engine grew
+        its own lock this corrupted shared state under contention — threads
+        saw transitions without their emits.  The pattern forces a large
+        subset space so memoisation and scanning genuinely interleave.
         """
         import random
         import sys
@@ -171,6 +169,43 @@ class TestSharedEngineThreadSafety:
         for result in results:
             got = {(r.offset, repr(r.code)) for r in result.reports}
             assert got == expected
+
+    def test_lazydfa_sets_emit_bit_before_publishing_transition(self):
+        """The lock-free scan loop trusts a published transition to mean its
+        emit entry and has-emit bit are in place, so every transition write
+        must find them already stored.  A write order that breaks this only
+        shows under contention; the instrumented rows catch it in one run.
+        """
+        import random
+
+        from repro.engines import LazyDFAEngine
+
+        from repro.regex import compile_regex
+
+        engine = LazyDFAEngine(compile_regex("a[ab]{3}b", report_code="r"))
+        published = []
+
+        class CheckedRow(list):
+            def __init__(self, sid, row):
+                super().__init__(row)
+                self.sid = sid
+
+            def __setitem__(self, symbol, nid):
+                bit = bool((engine._emit_bits[self.sid] >> symbol) & 1)
+                published.append((bit, symbol in engine._emits[self.sid]))
+                super().__setitem__(symbol, nid)
+
+        class CheckedRows(list):
+            def append(self, row):
+                super().append(CheckedRow(len(self), row))
+
+        engine._trans = CheckedRows(
+            CheckedRow(sid, row) for sid, row in enumerate(engine._trans)
+        )
+        rng = random.Random(3)
+        engine.run(bytes(rng.choice(b"abc") for _ in range(2_000)))
+        assert any(emits for _, emits in published)
+        assert all(bit == emits for bit, emits in published)
 
 
 class TestAutoEngine:

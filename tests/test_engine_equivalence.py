@@ -154,9 +154,18 @@ def test_bitset_density_heuristic_switches_paths():
 @settings(max_examples=50, deadline=None)
 @given(automaton=random_automata(), data=inputs, split=st.integers(0, 40))
 def test_dfa_memoisation_is_input_independent(automaton, data, split):
-    """Running other inputs first must not change results (memo soundness)."""
+    """Running other inputs first must not change results (memo soundness).
+
+    Also pins the invariant the lock-free scan loop relies on: a state's
+    has-emit bits name exactly its memoised emit entries, and each of those
+    symbols' transitions is published."""
     split = min(split, len(data))
     eng = LazyDFAEngine(automaton)
     eng.run(data[split:])  # warm the memo with a different stream
     fresh = LazyDFAEngine(automaton).run(data)
     assert eng.run(data).reports == fresh.reports
+    for sid in range(eng.dfa_state_count):
+        bits = eng._emit_bits[sid]
+        emit_symbols = {symbol for symbol in range(256) if (bits >> symbol) & 1}
+        assert emit_symbols == set(eng._emits[sid])
+        assert all(eng._trans[sid][symbol] >= 0 for symbol in emit_symbols)

@@ -60,7 +60,7 @@ class TestZeroObjects:
             for packet in packets
         ]
         packet = packets[counts.index(max(counts))]
-        resilient_scan(snort_automaton, packet)  # warm: promoted, no misses
+        resilient_scan(snort_automaton, packet)  # warm: no memo misses
 
         built = []
         original = ReportEvent.__init__

@@ -108,19 +108,18 @@ class TestLazyDFAReportOrder:
         a.add_edge("q", "r0")
         return a
 
-    # 3000 symbols: past the first 1024-symbol block, so the promoted
-    # dense-table path emits reports too.
+    # 3000 symbols: crosses GUARD_BLOCK boundaries, so reports fire in
+    # later scan blocks too.
     DATA = (b"xxyx" + b"yxxxyyx" * 428)[:3000]
 
     def test_run_reports_sorted_and_match_reference(self):
         automaton = self.reverse_order_reporters()
         expected = ReferenceEngine(automaton).run(self.DATA).reports
         engine = LazyDFAEngine(automaton)
-        for _ in range(2):  # cold memo, then the warm (promoted) engine
+        for _ in range(2):  # cold memo, then the warm engine
             reports = engine.run(self.DATA).reports
             assert reports == sorted(reports)
             assert reports == expected
-        assert engine._trans_rows is not None
 
     @pytest.mark.parametrize("cuts", [[1, 2, 3], [500, 1100, 2047], [2999]])
     def test_chunked_feed_sorted_and_matches_reference(self, cuts):
