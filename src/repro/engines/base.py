@@ -271,8 +271,14 @@ class Engine(abc.ABC):
         self.automaton = automaton
 
     @abc.abstractmethod
+    def stream(self, *, record_active: bool = False):
+        """A streaming session: ``feed(chunk)`` returns that chunk's
+        :class:`ReportBatch`, and state persists between feeds."""
+
     def run(self, data: bytes, *, record_active: bool = False) -> RunResult:
         """Execute over ``data`` from a fresh initial state."""
+        session = self.stream(record_active=record_active)
+        return RunResult(session.feed(data), session.offset, session.active_per_cycle)
 
     def count_reports(self, data: bytes) -> int:
         """Convenience: number of report events over ``data``."""

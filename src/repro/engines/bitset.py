@@ -2,7 +2,8 @@
 
 The active set is one packed bitmask: bit ``i`` is set iff state ``i`` is
 enabled.  One step is (a) AND with the precomputed per-symbol membership
-mask (256 masks, packed with the same ``np.packbits`` layout as
+mask (256 masks, packed by the same
+:func:`~repro.engines.vector.packed_charsets` as
 :class:`~repro.engines.vector.VectorEngine`), then (b) OR of the matched
 states' precomputed successor bitmasks.  Reports are harvested from the
 matched mask only on cycles where the report-mask AND is nonzero — as
@@ -28,17 +29,18 @@ not:
   The per-symbol loop then only walks the *non-start* matched bits, which
   on low-activity workloads (Snort) averages below one bit per symbol.
 
-Successor propagation dispatches per chunk of symbols between two paths,
-picked from the running matched-set density:
+Successor propagation runs in one scan loop whose walk of the matched
+mask is picked per chunk of 512 symbols from the running matched-set
+density:
 
-* **sparse path** — walk the set bits of the matched mask one at a time
-  (``m & -m``) and OR that state's successor mask; cost proportional to
-  the matched count.  Wins when active sets are small.
-* **block path** — walk the matched mask a byte-word at a time (skipping
-  zero words) and OR a lazily memoised per-(word, value) successor mask
-  from :attr:`_block_lut`; cost proportional to ``n/8`` independent of
-  density (the memoised equivalent of a dense boolean matmul row).  Wins
-  when active sets are large.
+* **per-bit walk** — visit the set bits one at a time (``m & -m``) and OR
+  that state's successor mask; cost proportional to the matched count.
+  Wins when active sets are small.
+* **per-byte walk** — visit the mask a byte-word at a time (skipping zero
+  words) and OR a lazily memoised per-(word, value) successor mask from
+  :attr:`_block_lut`; cost proportional to ``n/8`` independent of density
+  (the memoised equivalent of a dense boolean matmul row).  Wins when
+  active sets are large.
 
 Per-state successor bitmasks are inherently O(n^2) bits in the worst case,
 so construction refuses automata above ``max_states`` (default 65536) with
@@ -49,19 +51,17 @@ for the multi-million-state full-scale builds.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable
 from repro.engines.reference import _CounterState
+from repro.engines.vector import packed_charsets
 from repro.errors import CapacityError
 from repro.resilience.guards import current_guard
 
 __all__ = ["BitsetEngine", "BitsetStream"]
 
-_CHUNK = 65536  # states per chunk when packing the charset matrix
 _BLOCK_SYMBOLS = 512  # symbols between density-heuristic re-evaluations
 
 
@@ -85,15 +85,8 @@ class BitsetEngine(Engine):
 
         # Per-symbol membership masks, packed exactly like VectorEngine's
         # _charbits and then adopted as big ints (bit i = state i).
-        charbits = np.zeros((256, self._nbytes), dtype=np.uint8)
-        for base in range(0, n, _CHUNK):
-            chunk = stes[base : base + _CHUNK]
-            block = np.empty((len(chunk), 256), dtype=bool)
-            for row, ste in enumerate(chunk):
-                block[row] = ste.charset.to_bool_array()
-            packed = np.packbits(block.T, axis=1, bitorder="little")
-            charbits[:, base // 8 : base // 8 + packed.shape[1]] = packed
-        self._charmask = [
+        charbits = packed_charsets(stes)
+        charmask = [
             int.from_bytes(charbits[sym].tobytes(), "little") for sym in range(256)
         ]
 
@@ -142,7 +135,6 @@ class BitsetEngine(Engine):
                 all_input |= 1 << i
             elif ste.start is StartMode.START_OF_DATA:
                 initial_rest |= 1 << i
-        self._all_input = all_input
         self._not_all = ~all_input
         self._all_count = all_input.bit_count()
         self._initial_rest = initial_rest
@@ -183,7 +175,6 @@ class BitsetEngine(Engine):
                 if resets:
                     start_resets[sym] += resets
         not_all = self._not_all
-        self._start_next = [mask & not_all for mask in start_next]
         self._start_ranks = [tuple(sorted(r)) for r in start_reports]
         self._start_events = start_events
         self._start_resets = start_resets
@@ -194,14 +185,16 @@ class BitsetEngine(Engine):
             self._reports.group(list(ranks)) if ranks else ()
             for ranks in self._start_ranks
         ]
-        self._sym_tab = list(zip(self._charmask, self._start_next, start_groups))
+        self._sym_tab = list(
+            zip(charmask, [mask & not_all for mask in start_next], start_groups)
+        )
 
         # Lazily memoised block-path LUT: (byte_position << 8 | byte_value)
         # -> OR of the successor masks of those eight states.
         self._block_lut: dict[int, int] = {}
-        # Density cutover between the sparse and block paths: the sparse
-        # per-bit walk costs ~1 unit per matched bit, the block walk ~2
-        # units per mask byte regardless of density.
+        # Density cutover between the two successor walks: the per-bit
+        # walk costs ~1 unit per matched bit, the per-byte walk ~2 units
+        # per mask byte regardless of density.
         self._block_cutover = max(4, n >> 2)
         telemetry.record_compile("bitset", compile_t0, n)
 
@@ -239,22 +232,13 @@ class BitsetEngine(Engine):
         """A streaming session: feed chunks, state persists between feeds."""
         return BitsetStream(self, record_active=record_active)
 
-    def run(self, data: bytes, *, record_active: bool = False) -> RunResult:
-        session = self.stream(record_active=record_active)
-        reports = session.feed(data)
-        return RunResult(
-            reports=reports,
-            cycles=session.offset,
-            active_per_cycle=session.active_per_cycle,
-        )
-
 
 class BitsetStream:
     """Persistent execution state for :class:`BitsetEngine`.
 
     The state is the non-start part of the enabled mask (ALL_INPUT states
     are implicitly always enabled) plus the counter states and the current
-    sparse/block path choice, so chunk boundaries are invisible.
+    successor-walk choice, so chunk boundaries are invisible.
     """
 
     def __init__(self, engine: BitsetEngine, *, record_active: bool = False) -> None:
@@ -286,8 +270,9 @@ class BitsetStream:
             if guard is not None:
                 guard.check_deadline("bitset", base + pos)
             end = min(pos + _BLOCK_SYMBOLS, length)
-            step = self._run_block if use_block else self._run_sparse
-            rest, matched_pop = step(data, pos, end, rest, base, reports)
+            rest, matched_pop = self._run(
+                data, pos, end, rest, base, reports, use_block
+            )
             use_block = matched_pop > cutover * (end - pos)
             total_pop += matched_pop
             pos = end
@@ -299,78 +284,21 @@ class BitsetStream:
             telemetry.incr("engine.matched_states.bitset", total_pop)
         return reports
 
-    # Both path loops share the same skeleton: record popcount, AND with
-    # the symbol mask, OR successor masks of the matched bits into the
-    # precomputed start-successor mask, apply the (rare) counter machinery,
-    # then append the offset's report group — the precomputed start-report
-    # group when nothing else reported.  They differ only in how the
-    # matched bits are walked.
+    def _run(self, data, pos, end, rest, base, reports, block):
+        """Scan ``data[pos:end]``; return the next mask and matched count.
 
-    def _run_sparse(self, data, pos, end, rest, base, reports):
-        """Per-bit walk of the matched mask; O(matched count) per symbol.
-
-        The no-match arm is the hot one on low-activity workloads: one
-        fused table row, one AND, and the next mask comes straight from
-        the premasked start-successor table.
+        Per symbol: record popcount, AND with the symbol mask, OR the
+        matched bits' successor masks into the precomputed start-successor
+        mask, apply the (rare) counter machinery, then append the offset's
+        report group.  ``block`` picks the walk of the matched bits: per
+        byte through :attr:`_block_lut` (O(n/8)) or per set bit (O(matched
+        count)).  The no-match arm is the hot one on low-activity
+        workloads: one fused table row, one AND, and the next mask comes
+        straight from the premasked start-successor table.
         """
         engine = self._engine
         tab = engine._sym_tab
         succ = engine._succ_int
-        rep_int = engine._report_int
-        feed_int = engine._feed_int
-        not_all = engine._not_all
-        all_count = engine._all_count
-        has_counters = engine._has_counters
-        start_events = engine._start_events
-        start_resets = engine._start_resets
-        group_of = engine._group
-        active = self.active_per_cycle
-        offsets = reports.offsets
-        groups = reports.groups
-        pop = 0
-        for offset, sym in enumerate(data[pos:end], pos):
-            if active is not None:
-                active.append(all_count + rest.bit_count())
-            mask, nxt0, sg = tab[sym]
-            m = rest & mask
-            if m:
-                pop += m.bit_count()
-                nxt = nxt0
-                mm = m
-                while mm:
-                    low = mm & -mm
-                    nxt |= succ[low.bit_length() - 1]
-                    mm ^= low
-                fired = None
-                if has_counters and (
-                    start_events[sym] or start_resets[sym] or m & feed_int
-                ):
-                    fired = []
-                    nxt |= self._counter_cycle(sym, m & feed_int, fired)
-                rest = nxt & not_all
-                hits = m & rep_int
-                g = group_of(sym, hits, fired) if hits or fired else sg
-                if g:
-                    offsets.append(base + offset)
-                    groups.append(g)
-            elif has_counters and (start_events[sym] or start_resets[sym]):
-                fired = []
-                rest = (nxt0 | self._counter_cycle(sym, 0, fired)) & not_all
-                g = group_of(sym, 0, fired) if fired else sg
-                if g:
-                    offsets.append(base + offset)
-                    groups.append(g)
-            else:
-                rest = nxt0
-                if sg:
-                    offsets.append(base + offset)
-                    groups.append(sg)
-        return rest, pop
-
-    def _run_block(self, data, pos, end, rest, base, reports):
-        """Byte-word walk of the matched mask; O(n/8) per symbol."""
-        engine = self._engine
-        tab = engine._sym_tab
         rep_int = engine._report_int
         feed_int = engine._feed_int
         not_all = engine._not_all
@@ -394,14 +322,21 @@ class BitsetStream:
             if m:
                 pop += m.bit_count()
                 nxt = nxt0
-                key = -256
-                for byte in m.to_bytes(nbytes, "little"):
-                    key += 256
-                    if byte:
-                        entry = lut_get(key | byte)
-                        if entry is None:
-                            entry = lut_build(key | byte)
-                        nxt |= entry
+                if block:
+                    key = -256
+                    for byte in m.to_bytes(nbytes, "little"):
+                        key += 256
+                        if byte:
+                            entry = lut_get(key | byte)
+                            if entry is None:
+                                entry = lut_build(key | byte)
+                            nxt |= entry
+                else:
+                    mm = m
+                    while mm:
+                        low = mm & -mm
+                        nxt |= succ[low.bit_length() - 1]
+                        mm ^= low
                 fired = None
                 if has_counters and (
                     start_events[sym] or start_resets[sym] or m & feed_int

@@ -30,7 +30,7 @@ import threading
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable
 from repro.errors import CapacityError, EngineError
 from repro.resilience import faults
 from repro.resilience.guards import GUARD_BLOCK, current_guard
@@ -162,15 +162,6 @@ class LazyDFAEngine(Engine):
     def stream(self, *, record_active: bool = False) -> "LazyDFAStream":
         """A streaming session: feed chunks, state persists between feeds."""
         return LazyDFAStream(self, record_active=record_active)
-
-    def run(self, data: bytes, *, record_active: bool = False) -> RunResult:
-        session = self.stream(record_active=record_active)
-        reports = session.feed(data)
-        return RunResult(
-            reports=reports,
-            cycles=session.offset,
-            active_per_cycle=session.active_per_cycle,
-        )
 
 
 class LazyDFAStream:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, CounterMode, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable
 from repro.resilience.guards import GUARD_BLOCK, current_guard
 
 __all__ = ["ReferenceEngine", "ReferenceStream"]
@@ -91,15 +91,6 @@ class ReferenceEngine(Engine):
         """
         return ReferenceStream(
             self, record_active=record_active, record_trace=record_trace
-        )
-
-    def run(self, data: bytes, *, record_active: bool = False) -> RunResult:
-        session = self.stream(record_active=record_active)
-        reports = session.feed(data)
-        return RunResult(
-            reports=reports,
-            cycles=session.offset,
-            active_per_cycle=session.active_per_cycle,
         )
 
 

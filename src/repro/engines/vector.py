@@ -17,13 +17,32 @@ import numpy as np
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable, RunResult
+from repro.engines.base import Engine, ReportBatch, ReportTable
 from repro.engines.reference import _CounterState
 from repro.resilience.guards import GUARD_BLOCK, current_guard
 
 __all__ = ["VectorEngine", "VectorStream"]
 
 _CHUNK = 65536  # states per chunk when building the packed charset matrix
+
+
+def packed_charsets(stes: list[STE]) -> np.ndarray:
+    """Packed per-symbol membership: bit ``i & 7`` of ``[s, i >> 3]`` is 1
+    iff ``stes[i]`` matches symbol ``s``.
+
+    Built ``_CHUNK`` states at a time, so the boolean scratch matrix stays
+    bounded on multi-million-state automata.
+    """
+    n = len(stes)
+    charbits = np.zeros((256, (n + 7) // 8), dtype=np.uint8)
+    for base in range(0, n, _CHUNK):
+        chunk = stes[base : base + _CHUNK]
+        block = np.empty((len(chunk), 256), dtype=bool)
+        for row, ste in enumerate(chunk):
+            block[row] = ste.charset.to_bool_array()
+        packed = np.packbits(block.T, axis=1, bitorder="little")
+        charbits[:, base // 8 : base // 8 + packed.shape[1]] = packed
+    return charbits
 
 
 class VectorEngine(Engine):
@@ -37,16 +56,7 @@ class VectorEngine(Engine):
         n = len(stes)
         self._n = n
 
-        # Packed per-symbol membership: bit (i & 7) of _charbits[s, i >> 3]
-        # is 1 iff state i matches symbol s.
-        self._charbits = np.zeros((256, (n + 7) // 8), dtype=np.uint8)
-        for base in range(0, n, _CHUNK):
-            chunk = stes[base : base + _CHUNK]
-            block = np.empty((len(chunk), 256), dtype=bool)
-            for row, ste in enumerate(chunk):
-                block[row] = ste.charset.to_bool_array()
-            packed = np.packbits(block.T, axis=1, bitorder="little")
-            self._charbits[:, base // 8 : base // 8 + packed.shape[1]] = packed
+        self._charbits = packed_charsets(stes)
 
         # Flattened successor lists (STE -> STE edges only).
         succ_lists: list[list[int]] = [[] for _ in range(n)]
@@ -140,15 +150,6 @@ class VectorEngine(Engine):
     def stream(self, *, record_active: bool = False) -> "VectorStream":
         """A streaming session: feed chunks, state persists between feeds."""
         return VectorStream(self, record_active=record_active)
-
-    def run(self, data: bytes, *, record_active: bool = False) -> RunResult:
-        session = self.stream(record_active=record_active)
-        reports = session.feed(data)
-        return RunResult(
-            reports=reports,
-            cycles=session.offset,
-            active_per_cycle=session.active_per_cycle,
-        )
 
 
 class VectorStream:

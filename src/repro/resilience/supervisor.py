@@ -80,7 +80,9 @@ class SupervisorConfig:
     #: waits indefinitely (strict mode).
     segment_timeout_s: float | None = None
     #: Total attempts per segment (first pool attempt + supervised
-    #: retries).  1 means fail-fast: any segment error aborts the scan.
+    #: retries).  1 means no retries: a failed first attempt poisons its
+    #: segment (strict :func:`~repro.engines.parallel.parallel_scan` then
+    #: re-raises).
     max_attempts: int = 3
     backoff_base_s: float = 0.05
     backoff_cap_s: float = 1.0
@@ -88,9 +90,6 @@ class SupervisorConfig:
     seed: int = 0
     #: Per-attempt engine resource budget (deadline, memo bytes).
     budget: ScanBudget | None = None
-    #: Retry attempts walk the fallback ladder from the primary engine
-    #: down; ``False`` pins every attempt to the primary engine.
-    ladder_retries: bool = True
 
     def backoff_s(self, attempt: int, rng: random.Random) -> float:
         """Jittered exponential backoff before retry ``attempt`` (>= 2)."""
@@ -207,14 +206,11 @@ def _retry_segment(
 
     Runs in the supervisor's process (the pool may be broken), walking
     the fallback ladder per attempt.  Returns the re-offset, keep-filtered
-    batch, or ``None`` once the segment is poisoned.
+    batch, or ``None`` once the segment is poisoned — at once when the
+    first attempt already used up ``max_attempts``.
     """
-    if config.ladder_retries and label in ENGINE_REGISTRY:
-        ladder = ladder_from(label)
-    elif label in ENGINE_REGISTRY:
-        ladder = (label,)
-    else:
-        ladder = (engine_cls,)  # non-registry engine: rerun it directly
+    # A non-registry engine has no ladder: rerun it directly.
+    ladder = ladder_from(label) if label in ENGINE_REGISTRY else (engine_cls,)
     chunk = data[segment.scan_start : segment.end]
     while report.attempts < config.max_attempts:
         report.attempts += 1
@@ -306,74 +302,53 @@ def supervised_parallel_scan(
             config.budget,
         )
 
+    futures = None
+    if pool is not None:
+        futures = [pool.submit(_scan_segment_supervised, task_for(index))
+                   for index in range(len(segments))]
     failed: list[int] = []
-    if pool is None:
-        for index in range(len(segments)):
-            reports[index].attempts = 1
+    pool_broken = False
+    for index, report in enumerate(reports):
+        report.attempts = 1
+        if futures is None:
             events, delta, error = _scan_segment_supervised(task_for(index))
-            _merge_worker_delta(delta)
-            if error is not None:
-                _note_failure(reports[index], label, error)
-                failed.append(index)
-            else:
-                reports[index].engine = label
-                events_by_segment[index] = events
-    else:
-        futures = {index: pool.submit(_scan_segment_supervised, task_for(index))
-                   for index in range(len(segments))}
-        pool_broken = False
-        for index, future in futures.items():
-            reports[index].attempts = 1
-            if pool_broken:
-                # A broken pool loses every in-flight task; don't block on
-                # futures that can no longer complete.
-                _note_failure(
-                    reports[index], label, WorkerCrash(index, 1, "pool broken")
-                )
-                failed.append(index)
-                continue
+        elif pool_broken:
+            # A broken pool loses every in-flight task; don't block on
+            # futures that can no longer complete.
+            events, delta, error = None, None, WorkerCrash(index, 1, "pool broken")
+        else:
             try:
-                events, delta, error = future.result(timeout=config.segment_timeout_s)
+                events, delta, error = futures[index].result(
+                    timeout=config.segment_timeout_s
+                )
             except FuturesTimeoutError:
                 telemetry.incr("resilience.segment.timeout")
-                future.cancel()
-                _note_failure(
-                    reports[index],
+                futures[index].cancel()
+                events, delta = None, None
+                error = ScanTimeout(
                     label,
-                    ScanTimeout(
-                        label,
-                        segments[index].scan_start,
-                        config.segment_timeout_s or 0.0,
-                        segment=index,
-                    ),
+                    segments[index].scan_start,
+                    config.segment_timeout_s or 0.0,
+                    segment=index,
                 )
-                failed.append(index)
-                continue
             except BrokenExecutor:
                 telemetry.incr("resilience.pool.broken")
                 pool_broken = True
-                _note_failure(reports[index], label, WorkerCrash(index, 1))
-                failed.append(index)
-                continue
-            _merge_worker_delta(delta)
-            if error is not None:
-                _note_failure(reports[index], label, error)
-                failed.append(index)
-            else:
-                reports[index].engine = label
-                events_by_segment[index] = events
+                events, delta, error = None, None, WorkerCrash(index, 1)
+        _merge_worker_delta(delta)
+        if error is not None:
+            _note_failure(report, label, error)
+            failed.append(index)
+        else:
+            report.engine = label
+            events_by_segment[index] = events
 
-    if failed and config.max_attempts > 1:
-        rng = random.Random(config.seed)
-        for index in failed:
-            events_by_segment[index] = _retry_segment(
-                automaton, data, segments[index], reports[index],
-                engine_cls, label, config, rng
-            )
-    elif failed:
-        for index in failed:
-            telemetry.incr("resilience.segment.poisoned")
-            reports[index].error = reports[index].failures[-1][1]
+    rng = random.Random(config.seed)
+    for index in failed:
+        events_by_segment[index] = _retry_segment(
+            automaton, data, segments[index], reports[index],
+            engine_cls, label, config, rng
+        )
 
     merged = ReportBatch.concat(
         events for events in events_by_segment if events is not None

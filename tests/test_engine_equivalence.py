@@ -127,9 +127,10 @@ def test_bitset_block_path_agrees(automaton, data):
 
 
 def test_bitset_density_heuristic_switches_paths():
-    """A dense always-matching mesh pushes the stream onto the block path;
-    a dead stretch of input drops it back to sparse.  Reports agree with
-    the reference engine across both switches."""
+    """A dense always-matching mesh pushes the stream onto the per-byte
+    (block) walk; a dead stretch of input drops it back to the per-bit
+    walk.  Reports and active-set counts agree with the reference engine
+    across both switches, whether they fall between feeds or inside one."""
     a = Automaton("dense")
     a.add_ste("s0", CharSet.from_chars("a"), start=StartMode.ALL_INPUT)
     n_dense = 15
@@ -140,8 +141,8 @@ def test_bitset_density_heuristic_switches_paths():
         for j in range(n_dense):
             a.add_edge(f"d{i}", f"d{j}")
     data = b"a" * 600 + b"b" * 600 + b"a" * 10
-    ref = ReferenceEngine(a).run(data)
-    stream = BitsetEngine(a).stream()
+    ref = ReferenceEngine(a).run(data, record_active=True)
+    stream = BitsetEngine(a).stream(record_active=True)
     assert not stream._use_block
     batches = [stream.feed(b"a" * 600)]
     assert stream._use_block  # dense stretch: matched count >> cutover
@@ -149,6 +150,27 @@ def test_bitset_density_heuristic_switches_paths():
     assert not stream._use_block  # dead stretch: back to the sparse path
     batches.append(stream.feed(b"a" * 10))
     assert ReportBatch.concat(batches) == ref.reports
+    assert stream.active_per_cycle == ref.active_per_cycle
+
+    # One feed: the 512-symbol chunks run per-bit, per-byte, per-bit.  Only
+    # the per-byte walk fills the engine's memoised byte table, which shows
+    # the walk each chunk really took.
+    engine = BitsetEngine(a)
+    stream = engine.stream(record_active=True)
+    walks = []
+    run = stream._run
+
+    def spy(*args):
+        lut_before = len(engine._block_lut)
+        result = run(*args)
+        walks.append((args[-1], len(engine._block_lut) > lut_before))
+        return result
+
+    stream._run = spy
+    assert stream.feed(data) == ref.reports
+    assert walks == [(False, False), (True, True), (False, False)]
+    assert not stream._use_block
+    assert stream.active_per_cycle == ref.active_per_cycle
 
 
 @settings(max_examples=50, deadline=None)

@@ -6,6 +6,7 @@ the ReferenceEngine single-stream scan — degraded, never different.
 """
 
 import concurrent.futures
+import contextlib
 import pickle
 
 import pytest
@@ -214,6 +215,45 @@ class TestSupervisor:
             fp for fp in oracle if not bad.keep_from <= fp[0] < bad.end
         ]
         assert fingerprints(outcome.result) == expected
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "threads"])
+    def test_single_attempt_poisons_without_retry(
+        self, automaton, data, oracle, workers
+    ):
+        # max_attempts=1: the first attempt is the only one, serial or
+        # pooled, and a failed segment is poisoned without a retry.
+        with contextlib.ExitStack() as stack:
+            pool = None
+            if workers:
+                pool = stack.enter_context(
+                    concurrent.futures.ThreadPoolExecutor(workers)
+                )
+            stack.enter_context(inject_faults(FaultPlan(poison_segments=frozenset({2}))))
+            outcome = supervised_parallel_scan(
+                automaton, data, 4, pool=pool,
+                config=SupervisorConfig(max_attempts=1),
+            )
+        assert not outcome.complete
+        assert [report.index for report in outcome.poisoned] == [2]
+        bad = outcome.segments[2]
+        assert bad.error == bad.failures[-1][1]
+        assert counter("resilience.segment.retries") == 0
+        assert counter("resilience.segment.poisoned") == 1
+        expected = [
+            fp for fp in oracle
+            if not bad.segment.keep_from <= fp[0] < bad.segment.end
+        ]
+        assert fingerprints(outcome.result) == expected
+        failure = EngineFailure("vector", "injected engine failure", segment=2)
+        error = f"EngineFailure: {failure}"
+        assert [
+            (report.engine, report.attempts, report.failures, report.error)
+            for report in outcome.segments
+        ] == [
+            (None, 1, [("vector", error)], error) if index == 2
+            else ("vector", 1, [], None)
+            for index in range(4)
+        ]
 
     def test_retries_degrade_down_ladder(self, automaton, data, oracle):
         # dfa fails everywhere: the pool attempt fails, the retry walks
