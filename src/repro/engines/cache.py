@@ -202,21 +202,31 @@ class CacheInfo:
     misses: int
     size: int
     maxsize: int
+    #: Fingerprints the parallel-scan supervisor holds resident in this
+    #: process (:mod:`repro.resilience.supervisor`), bounded by ``maxsize``.
+    resident: int
 
 
 def engine_cache_info() -> CacheInfo:
     """Current cache statistics (for benchmarks and diagnostics)."""
+    # Imported lazily: the supervisor imports this module.
+    from repro.resilience.supervisor import resident_size
+
     with _lock:
-        return CacheInfo(hits=_hits, misses=_misses, size=len(_cache), maxsize=_maxsize)
+        hits, misses, size, maxsize = _hits, _misses, len(_cache), _maxsize
+    return CacheInfo(hits, misses, size, maxsize, resident=resident_size())
 
 
 def clear_engine_cache() -> None:
-    """Drop every cached engine and reset the statistics."""
+    """Drop every cached engine and resident automaton; reset the statistics."""
     global _hits, _misses
+    from repro.resilience.supervisor import clear_resident
+
     with _lock:
         _cache.clear()
         _hits = 0
         _misses = 0
+    clear_resident()
 
 
 def set_engine_cache_limit(maxsize: int) -> None:

@@ -11,9 +11,11 @@ segment's scan (deduplicated).
 
 :func:`split_with_overlap` computes the segmentation, :func:`parallel_scan`
 runs it (serially or on a process pool) and merges reports; a property test
-pins equality with the single-stream scan.  Automata with unbounded match
-length (cycles on a reporting path) cannot be segment-scanned this way and
-are rejected.
+pins equality with the single-stream scan.  A pool worker unpickles each
+automaton once per fingerprint and keeps it resident (see
+:mod:`repro.resilience.supervisor`); later tasks reuse that copy.
+Automata with unbounded match length (cycles on a reporting path) cannot
+be segment-scanned this way and are rejected.
 """
 
 from __future__ import annotations
@@ -78,8 +80,9 @@ def parallel_scan(
     ``concurrent.futures`` executor as ``pool`` to actually parallelise;
     the default runs segments serially (the semantics are the point — on a
     spatial architecture each segment is a hardware replica).  Segment
-    engines default to :class:`VectorEngine` and are compiled once per
-    worker through the engine cache; pass ``engine_cls`` (e.g.
+    engines default to :class:`VectorEngine`; each worker unpickles the
+    automaton once per fingerprint and compiles it once through the engine
+    cache.  Pass ``engine_cls`` (e.g.
     :class:`~repro.engines.bitset.BitsetEngine`) to pick the engine.
 
     This is the *strict mode* of

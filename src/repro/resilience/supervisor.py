@@ -24,6 +24,24 @@ changes is what happens when a segment scan misbehaves:
   the scan completes with a partial (but deterministic) result instead
   of dying, and ``complete`` is ``False``.
 
+**Worker-resident automata.**  What the supervisor derives from an
+automaton — its pickle blob, the anchored flag and ``max_match_length``
+— is computed once per :func:`~repro.engines.cache.automaton_fingerprint`
+and kept in a bounded per-process LRU (sized like the engine compile
+cache).  A segment task carries that record and its chunk; the worker
+looks the fingerprint up in its own copy of the same LRU and unpickles
+the blob only on a miss (``parallel.resident.miss``), then compiles
+through :func:`~repro.engines.cache.compiled_engine` as any caller does.
+Shipping the ready blob with every task costs a byte copy and spares
+the attempt loop a first-miss handshake.  The blob is pickled after
+fingerprinting stamped the automaton, so workers never re-fingerprint.
+The record shares the compile cache's blind spot: an element mutated in
+place without a generation bump keeps its old fingerprint, and so its
+old record and blob; restamp it with
+``automaton_fingerprint(automaton, use_cache=False)``.
+:func:`~repro.engines.cache.clear_engine_cache` drops this process's
+records too.
+
 The merge is deterministic regardless of completion order: each
 segment's :class:`~repro.engines.base.ReportBatch` is re-offset into
 stream coordinates and keep-filtered (:meth:`ReportBatch.rebased`), and
@@ -31,8 +49,9 @@ the batches are concatenated in segment order
 (:meth:`ReportBatch.concat`).  Keep ranges partition the input in order,
 so no sort is needed — identical segments in, identical stream out.
 
-Telemetry: ``resilience.segment.timeout``, ``resilience.segment.crash``,
-``resilience.pool.broken``, ``resilience.segment.retries``,
+Telemetry: ``parallel.resident.miss``, ``resilience.segment.timeout``,
+``resilience.segment.crash``, ``resilience.pool.broken``,
+``resilience.segment.retries``,
 ``resilience.segment.poisoned``, plus the ladder/guard counters emitted
 by the per-attempt machinery.
 """
@@ -40,17 +59,22 @@ by the per-attempt machinery.
 from __future__ import annotations
 
 import os
+import pickle
 import random
+import threading
 import time
+from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
 
 from repro import telemetry
 from repro.core.automaton import Automaton
+from repro.core.elements import StartMode
 from repro.engines import ENGINE_REGISTRY
+from repro.engines import cache as engine_cache
 from repro.engines.base import ReportBatch, RunResult
-from repro.engines.cache import compiled_engine
+from repro.engines.cache import automaton_fingerprint, compiled_engine
 from repro.engines.parallel import Segment, split_with_overlap
 from repro.engines.prefilter import max_match_length
 from repro.errors import (
@@ -138,6 +162,77 @@ class SupervisedScanResult:
         return any(report.failures for report in self.segments)
 
 
+@dataclass(frozen=True)
+class _Resident:
+    """What the supervisor derives from an automaton, once per fingerprint."""
+
+    fingerprint: str
+    #: The automaton pickled after fingerprinting stamped it.
+    blob: bytes
+    anchored: bool
+    #: ``max_match_length``; ``None`` when unbounded.
+    window: int | None
+
+
+#: Per process: fingerprint -> (record, this process's unpickled copy or
+#: ``None``).  The supervisor side adds records; the worker side (a pool
+#: process, or this one for serial and thread-pool scans) adds copies.
+_resident: "OrderedDict[str, tuple[_Resident, Automaton | None]]" = OrderedDict()
+#: Held across derive and unpickle so each fingerprint misses once per process.
+_resident_lock = threading.Lock()
+
+
+def _remember(record: _Resident, automaton: Automaton | None) -> None:
+    """Store an entry (lock held), evicting past the compile cache's size."""
+    _resident[record.fingerprint] = (record, automaton)
+    _resident.move_to_end(record.fingerprint)
+    while len(_resident) > engine_cache._maxsize:
+        _resident.popitem(last=False)
+
+
+def _resident_record(automaton: Automaton) -> _Resident:
+    """Supervisor side: the record for ``automaton``, derived on a miss."""
+    fingerprint = automaton_fingerprint(automaton)
+    with _resident_lock:
+        entry = _resident.get(fingerprint)
+        if entry is not None:
+            _resident.move_to_end(fingerprint)
+            return entry[0]
+        record = _Resident(
+            fingerprint,
+            pickle.dumps(automaton, pickle.HIGHEST_PROTOCOL),
+            any(s.start is StartMode.START_OF_DATA for s in automaton.stes()),
+            max_match_length(automaton),
+        )
+        _remember(record, None)
+        return record
+
+
+def _resident_automaton(record: _Resident) -> Automaton:
+    """Worker side: this process's copy of the automaton, unpickled on a miss."""
+    with _resident_lock:
+        entry = _resident.get(record.fingerprint)
+        if entry is not None and entry[1] is not None:
+            _resident.move_to_end(record.fingerprint)
+            return entry[1]
+        telemetry.incr("parallel.resident.miss")
+        automaton = pickle.loads(record.blob)
+        _remember(record, automaton)
+        return automaton
+
+
+def clear_resident() -> None:
+    """Drop this process's resident records and automaton copies."""
+    with _resident_lock:
+        _resident.clear()
+
+
+def resident_size() -> int:
+    """Fingerprints with a resident entry in this process."""
+    with _resident_lock:
+        return len(_resident)
+
+
 def _scan_segment_supervised(args):
     """Pool-side single attempt: scan one pre-sliced chunk, return its batch.
 
@@ -146,30 +241,34 @@ def _scan_segment_supervised(args):
     spans/counters recorded here are snapshotted and the delta shipped
     back for pid-aware merging in the supervisor.
     """
-    (automaton, chunk, segment, index, engine_cls, label, collect, plan,
+    (record, chunk, segment, index, engine_cls, label, collect, plan,
      parent_pid, budget) = args
     was_enabled = telemetry.is_enabled()
     if collect and not was_enabled:
         telemetry.enable()
-    before = telemetry.snapshot() if collect else None
     try:
-        faults.maybe_crash(plan, index, 1, parent_pid)
-        faults.maybe_stall(plan, index, 1)
-        if plan is not None and plan.scoped_to_segment(label, index):
-            raise EngineFailure(label, "injected engine failure", segment=index)
-        engine = compiled_engine(automaton, engine_cls)
-        guard = ScanGuard(budget, segment=index) if budget else None
-        with telemetry.span("parallel.segment"), guard_scope(guard):
-            result = engine.run(chunk)
-        events = result.reports.rebased(segment.scan_start, segment.keep_from)
-        error = None
-    except ReproError as exc:
-        # Ship library failures back as values: the supervisor owns the
-        # retry decision, and structured returns survive any pool.
-        events, error = None, exc
-    delta = telemetry.diff_snapshots(before, telemetry.snapshot()) if collect else None
-    if collect and not was_enabled:
-        telemetry.disable()
+        before = telemetry.snapshot() if collect else None
+        try:
+            faults.maybe_crash(plan, index, 1, parent_pid)
+            faults.maybe_stall(plan, index, 1)
+            if plan is not None and plan.scoped_to_segment(label, index):
+                raise EngineFailure(label, "injected engine failure", segment=index)
+            engine = compiled_engine(_resident_automaton(record), engine_cls)
+            guard = ScanGuard(budget, segment=index) if budget else None
+            with telemetry.span("parallel.segment"), guard_scope(guard):
+                result = engine.run(chunk)
+            events = result.reports.rebased(segment.scan_start, segment.keep_from)
+            error = None
+        except ReproError as exc:
+            # Ship library failures back as values: the supervisor owns the
+            # retry decision, and structured returns survive any pool.
+            events, error = None, exc
+        delta = telemetry.diff_snapshots(before, telemetry.snapshot()) if collect else None
+    finally:
+        # Any other exception must not leave this worker tracing later
+        # untraced tasks.
+        if collect and not was_enabled:
+            telemetry.disable()
     return events, delta, error
 
 
@@ -257,8 +356,6 @@ def supervised_parallel_scan(
     *primary* engine — a registry name or an :class:`Engine` subclass;
     retries degrade down the fallback ladder from there.
     """
-    from repro.core.elements import StartMode
-
     if isinstance(engine, str):
         if engine not in ENGINE_REGISTRY:
             raise EngineError(f"unknown engine {engine!r}")
@@ -269,16 +366,16 @@ def supervised_parallel_scan(
             (n for n, c in ENGINE_REGISTRY.items() if c is engine_cls),
             engine_cls.__name__,
         )
-    if any(s.start is StartMode.START_OF_DATA for s in automaton.stes()):
+    record = _resident_record(automaton)
+    if record.anchored:
         raise EngineError("parallel_scan requires an unanchored automaton")
-    window = max_match_length(automaton)
-    if window is None:
+    if record.window is None:
         raise EngineError(
             "automaton has unbounded match length; segment overlap cannot "
             "bound cross-boundary matches"
         )
     config = config or SupervisorConfig()
-    segments = split_with_overlap(len(data), n_segments, max(window - 1, 0))
+    segments = split_with_overlap(len(data), n_segments, max(record.window - 1, 0))
     collect = telemetry.is_enabled()
     telemetry.incr("parallel.scans")
     telemetry.incr("parallel.segments", len(segments))
@@ -290,7 +387,7 @@ def supervised_parallel_scan(
     def task_for(index: int):
         segment = segments[index]
         return (
-            automaton,
+            record,
             data[segment.scan_start : segment.end],
             segment,
             index,

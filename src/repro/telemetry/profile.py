@@ -233,6 +233,7 @@ def run_profile(
                 "misses": cache.misses,
                 "size": cache.size,
                 "maxsize": cache.maxsize,
+                "resident": cache.resident,
             },
             "resilience": {
                 "resumed_cells": ckpt.resumed_cells if ckpt is not None else 0,

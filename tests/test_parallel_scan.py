@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.engines import BitsetEngine, ReferenceEngine, VectorEngine
 from repro.engines.parallel import (
     parallel_scan,
@@ -111,14 +112,41 @@ class TestParallelScan:
         assert fingerprints(segmented) == fingerprints(single)
 
     def test_with_process_pool(self):
-        from concurrent.futures import ThreadPoolExecutor
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
 
-        automaton = compile_regex("needle", report_code="n")
-        data = (b"hay " * 50 + b"needle ") * 3
-        single = VectorEngine(automaton).run(data)
-        with ThreadPoolExecutor(max_workers=3) as pool:
-            segmented = parallel_scan(automaton, data, 3, pool=pool)
-        assert fingerprints(segmented) == fingerprints(single)
+        needle = compile_regex("needle", report_code="n")
+        hay = compile_regex("h[ae]y", report_code="h")
+        data = (b"hay " * 50 + b"needle nedle hey ") * 3
+        workers = 2
+        was_enabled = telemetry.is_enabled()
+        telemetry.enable()
+        telemetry.reset()
+        try:
+            with ProcessPoolExecutor(
+                workers, mp_context=multiprocessing.get_context("spawn")
+            ) as pool:
+
+                def check(automaton):
+                    single = VectorEngine(automaton).run(data)
+                    segmented = parallel_scan(automaton, data, workers, pool=pool)
+                    assert fingerprints(segmented) == fingerprints(single)
+                    return len(single.reports)
+
+                before = [check(automaton) for automaton in [needle, hay] * 3]
+                # A new edge is a new generation, so a new fingerprint: the
+                # workers must scan the edited structure ("nedle" now matches).
+                needle.add_edge("p1", "p3")
+                after = [check(needle) for _ in range(2)]
+            misses = telemetry.counter_value("parallel.resident.miss")
+        finally:
+            telemetry.reset()
+            if not was_enabled:
+                telemetry.disable()
+        assert after[0] > before[0]
+        tasks, distinct = 8 * workers, 3
+        # Each worker unpickles each automaton once, not once per task.
+        assert 1 <= misses <= workers * distinct < tasks
 
     def test_mesh_benchmark_segments_correctly(self):
         from repro.inputs.dna import plant_pattern, random_dna

@@ -7,13 +7,17 @@ the ReferenceEngine single-stream scan — degraded, never different.
 
 import concurrent.futures
 import contextlib
+import multiprocessing
+import os
 import pickle
+import sys
 
 import pytest
 
 from repro import telemetry
 from repro.engines import BitsetEngine, ReferenceEngine, VectorEngine
-from repro.engines.parallel import parallel_scan
+from repro.engines.cache import clear_engine_cache, engine_cache_info
+from repro.engines.parallel import Segment, parallel_scan
 from repro.errors import (
     CheckpointMismatch,
     EngineFailure,
@@ -36,6 +40,7 @@ from repro.resilience import (
     resilient_scan,
     supervised_parallel_scan,
 )
+from repro.resilience.supervisor import _resident_record, _scan_segment_supervised
 
 PATTERN = "(cmd\\.exe|SELECT|powershell|admin)"
 
@@ -284,6 +289,74 @@ class TestSupervisor:
         assert outcome.complete
         assert fingerprints(outcome.result) == oracle
         assert counter("resilience.pool.broken") >= 1
+
+
+class TestResidentAutomata:
+    def test_worker_restores_telemetry_after_foreign_error(self, automaton):
+        # A non-library exception from a custom engine escapes the attempt;
+        # it must not leave this worker tracing later untraced tasks.
+        class Exploding(VectorEngine):
+            def __init__(self, automaton):
+                raise RuntimeError("custom engine bug")
+
+        record = _resident_record(automaton)
+        task = (record, b"SELECT", Segment(0, 0, 6), 0, Exploding, "exploding",
+                True, None, os.getpid(), None)
+        telemetry.disable()
+        with pytest.raises(RuntimeError, match="custom engine bug"):
+            _scan_segment_supervised(task)
+        assert not telemetry.is_enabled()
+
+    def test_crash_after_workers_hold_automaton(self, automaton, data, oracle):
+        config = SupervisorConfig(backoff_base_s=0.0, backoff_cap_s=0.0)
+        spawn = multiprocessing.get_context("spawn")
+        with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
+            for _ in range(2):
+                warm = supervised_parallel_scan(
+                    automaton, data, 2, pool=pool, config=config
+                )
+                assert fingerprints(warm.result) == oracle
+            assert counter("parallel.resident.miss") >= 1
+            with inject_faults(FaultPlan(crash_segments=frozenset({1}))):
+                outcome = supervised_parallel_scan(
+                    automaton, data, 2, pool=pool, config=config
+                )
+        assert outcome.complete
+        assert fingerprints(outcome.result) == oracle
+        assert outcome.segments[1].attempts == 2
+        assert counter("resilience.pool.broken") >= 1
+        # Fresh workers hold nothing yet: they unpickle and agree.
+        telemetry.reset()
+        with concurrent.futures.ProcessPoolExecutor(2, mp_context=spawn) as pool:
+            fresh = supervised_parallel_scan(automaton, data, 2, pool=pool, config=config)
+        assert fingerprints(fresh.result) == oracle
+        assert counter("parallel.resident.miss") >= 1
+
+    def test_threads_miss_once_per_fingerprint(self, data):
+        # More threads than cores and a short switch interval: a lookup
+        # that checked and unpickled outside the lock would miss a
+        # fingerprint more than once in this process.
+        automata = [compile_regex(p) for p in ("cmd\\.exe", "SELECT", "admin")]
+        oracles = [fingerprints(ReferenceEngine(a).run(data)) for a in automata]
+        rounds = 10
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with concurrent.futures.ThreadPoolExecutor(8) as pool:
+                for _ in range(rounds):
+                    clear_engine_cache()
+                    for automaton, oracle in zip(automata, oracles):
+                        outcome = supervised_parallel_scan(
+                            automaton, data, 8, pool=pool,
+                            config=SupervisorConfig(segment_timeout_s=60.0),
+                        )
+                        assert fingerprints(outcome.result) == oracle
+                    assert engine_cache_info().resident == len(automata)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counter("parallel.resident.miss") == rounds * len(automata)
+        clear_engine_cache()
+        assert engine_cache_info().resident == 0
 
 
 class TestErrorPickling:
