@@ -11,6 +11,9 @@ small rulesets.  Two classic size levers are implemented:
 * **Mealy minimization** — partition refinement over (emission, successor)
   signatures collapses equivalent subset states.
 
+Subset construction runs over the STE indices, successor tuples and start
+sets of the automaton's :class:`~repro.engines.lowered.Lowered` form.
+
 Report semantics match the engines': taking a transition that corresponds
 to a matching reporting STE emits that STE's report code at the current
 offset.  Reports are deduplicated per code (a DFA cannot distinguish which
@@ -23,8 +26,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.automaton import Automaton
-from repro.core.elements import STE, StartMode
 from repro.engines.base import ReportBatch, RunResult
+from repro.engines.lowered import Lowered, packed_charsets
 from repro.errors import CapacityError, EngineError
 
 __all__ = ["DFA"]
@@ -52,34 +55,25 @@ class DFA:
         """Determinise a (counter-free) homogeneous automaton."""
         if any(True for _ in automaton.counters()):
             raise EngineError("DFA compilation does not support counters")
-        stes: list[STE] = list(automaton.stes())
-        index = {ste.ident: i for i, ste in enumerate(stes)}
-        n = len(stes)
+        lowered = Lowered(automaton)
+        stes = lowered.stes
+        n = lowered.n
 
         # Alphabet compression: group symbols by their membership column.
-        membership = np.zeros((256, n), dtype=bool)
-        for i, ste in enumerate(stes):
-            membership[:, i] = ste.charset.to_bool_array()
+        membership = np.unpackbits(
+            packed_charsets(stes), axis=1, count=n, bitorder="little"
+        )
         _, symbol_class, = np.unique(membership, axis=0, return_inverse=True)
         n_classes = int(symbol_class.max()) + 1 if n else 1
         class_rep = np.zeros(n_classes, dtype=np.int64)
         for symbol in range(255, -1, -1):
             class_rep[symbol_class[symbol]] = symbol
 
-        succ = [
-            frozenset(index[s] for s in automaton.successors(ste.ident))
-            for ste in stes
-        ]
-        report_code = [ste.report_code if ste.report else None for ste in stes]
-        reporting = [ste.report for ste in stes]
-        all_input = frozenset(
-            index[s.ident] for s in stes if s.start is StartMode.ALL_INPUT
-        )
-        initial = frozenset(
-            index[s.ident]
-            for s in stes
-            if s.start in (StartMode.ALL_INPUT, StartMode.START_OF_DATA)
-        )
+        succ = lowered.succ
+        report_rank = lowered.report_rank
+        entries = lowered.reports.entries
+        all_input = frozenset(lowered.all_input)
+        initial = frozenset(lowered.initial)
 
         set_to_id: dict[frozenset, int] = {initial: 0}
         worklist = [initial]
@@ -99,11 +93,11 @@ class DFA:
                     i for i in state_set if stes[i].charset.matches(symbol)
                 ]
                 codes = frozenset(
-                    report_code[i] for i in matched if reporting[i]
+                    entries[report_rank[i]][1] for i in matched if report_rank[i] >= 0
                 )
                 nxt = set(all_input)
                 for i in matched:
-                    nxt |= succ[i]
+                    nxt.update(succ[i])
                 nxt = frozenset(nxt)
                 target = set_to_id.get(nxt)
                 if target is None:

@@ -3,13 +3,16 @@
 The active set is one packed bitmask: bit ``i`` is set iff state ``i`` is
 enabled.  One step is (a) AND with the precomputed per-symbol membership
 mask (256 masks, packed by the same
-:func:`~repro.engines.vector.packed_charsets` as
+:func:`~repro.engines.lowered.packed_charsets` as
 :class:`~repro.engines.vector.VectorEngine`), then (b) OR of the matched
 states' precomputed successor bitmasks.  Reports are harvested from the
 matched mask only on cycles where the report-mask AND is nonzero — as
 report-table ranks sorted into one :class:`~repro.engines.base.ReportBatch`
 group per firing offset — and ``record_active`` is a popcount, so Table I
-statistics reproduce exactly.
+statistics reproduce exactly.  Every mask and table is built from the
+automaton's :class:`~repro.engines.lowered.Lowered` form, and counters
+step through :meth:`~repro.engines.lowered.Lowered.counter_step`, as in
+the vector engine.
 
 Two structural decisions make this engine fast where the numpy engines are
 not:
@@ -53,10 +56,8 @@ from __future__ import annotations
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable
-from repro.engines.reference import _CounterState
-from repro.engines.vector import packed_charsets
+from repro.engines.base import Engine, ReportBatch
+from repro.engines.lowered import Lowered, bit_mask, iter_bits, membership_masks
 from repro.errors import CapacityError
 from repro.resilience.guards import current_guard
 
@@ -71,86 +72,40 @@ class BitsetEngine(Engine):
     def __init__(self, automaton: Automaton, *, max_states: int = 65536) -> None:
         super().__init__(automaton)
         compile_t0 = telemetry.clock()
-        stes: list[STE] = list(automaton.stes())
-        n = len(stes)
+        lowered = Lowered(automaton)
+        n = lowered.n
         if n > max_states:
             raise CapacityError(
                 f"automaton has {n} STEs; BitsetEngine's per-state successor "
                 f"bitmasks are quadratic, so it is capped at {max_states} "
                 "states (use VectorEngine or raise max_states)"
             )
-        self._index = {ste.ident: i for i, ste in enumerate(stes)}
+        self._lowered = lowered
         self._n = n
         self._nbytes = (n + 7) // 8
 
         # Per-symbol membership masks, packed exactly like VectorEngine's
         # _charbits and then adopted as big ints (bit i = state i).
-        charbits = packed_charsets(stes)
-        charmask = [
-            int.from_bytes(charbits[sym].tobytes(), "little") for sym in range(256)
-        ]
+        charmask = membership_masks(lowered.stes)
 
         # Per-state successor bitmasks (STE -> STE edges only); counter
-        # feeds and reset wires go through the per-state dicts below.
-        succ = [0] * n
-        self._counter_feeds: dict[int, tuple[str, ...]] = {}
-        for ste in stes:
-            i = self._index[ste.ident]
-            acc = 0
-            feeds: list[str] = []
-            for dst in automaton.successors(ste.ident):
-                if isinstance(automaton[dst], STE):
-                    acc |= 1 << self._index[dst]
-                else:
-                    feeds.append(dst)
-            succ[i] = acc
-            if feeds:
-                self._counter_feeds[i] = tuple(feeds)
+        # feeds and reset wires go through the lowered form's maps.
+        succ = [bit_mask(dsts) for dsts in lowered.succ]
         self._succ_int = succ
-        self._reset_feeds: dict[int, tuple[str, ...]] = {}
-        for src, counter in automaton.reset_edges():
-            if src in self._index:
-                i = self._index[src]
-                self._reset_feeds[i] = self._reset_feeds.get(i, ()) + (counter,)
+        report_rank = lowered.report_rank
+        self._report_int = bit_mask(i for i, rank in enumerate(report_rank) if rank >= 0)
+        self._feed_int = bit_mask(lowered.feeding)
 
-        self._report_int = 0
-        for i, ste in enumerate(stes):
-            if ste.report:
-                self._report_int |= 1 << i
-        self._reports = ReportTable(automaton)
-        #: Report-table rank per STE; -1 for non-reporting STEs.
-        self._report_rank = [
-            self._reports.rank[ste.ident] if ste.report else -1 for ste in stes
-        ]
-        self._feed_int = 0
-        for i in self._counter_feeds:
-            self._feed_int |= 1 << i
-        for i in self._reset_feeds:
-            self._feed_int |= 1 << i
-
-        all_input = 0
-        initial_rest = 0
-        for i, ste in enumerate(stes):
-            if ste.start is StartMode.ALL_INPUT:
-                all_input |= 1 << i
-            elif ste.start is StartMode.START_OF_DATA:
-                initial_rest |= 1 << i
+        all_input = bit_mask(lowered.all_input)
         self._not_all = ~all_input
-        self._all_count = all_input.bit_count()
-        self._initial_rest = initial_rest
+        self._all_count = len(lowered.all_input)
+        self._initial_rest = bit_mask(lowered.initial) & ~all_input
 
         # Counters (rare; handled per-event in Python, as in VectorEngine).
-        self._counters: dict[str, CounterElement] = {
-            c.ident: c for c in automaton.counters()
+        self._counter_succ_int: dict[str, int] = {
+            ident: bit_mask(dsts) for ident, dsts in lowered.counter_succ.items()
         }
-        self._counter_succ_int: dict[str, int] = {}
-        for ident in self._counters:
-            acc = 0
-            for dst in automaton.successors(ident):
-                if isinstance(automaton[dst], STE):
-                    acc |= 1 << self._index[dst]
-            self._counter_succ_int[ident] = acc
-        self._has_counters = bool(self._counters)
+        self._has_counters = bool(lowered.counters)
 
         # ALL_INPUT start states match as a function of the symbol alone:
         # precompute their successor-OR, report ranks, and counter
@@ -160,16 +115,13 @@ class BitsetEngine(Engine):
         start_reports: list[tuple[int, ...]] = [()] * 256
         start_events: list[tuple[str, ...]] = [()] * 256
         start_resets: list[tuple[str, ...]] = [()] * 256
-        for ste in stes:
-            if ste.start is not StartMode.ALL_INPUT:
-                continue
-            i = self._index[ste.ident]
-            feeds = self._counter_feeds.get(i, ())
-            resets = self._reset_feeds.get(i, ())
-            for sym in ste.charset:
+        for i in lowered.all_input:
+            feeds = lowered.counter_feeds.get(i, ())
+            resets = lowered.reset_feeds.get(i, ())
+            for sym in lowered.stes[i].charset:
                 start_next[sym] |= succ[i]
-                if ste.report:
-                    start_reports[sym] += (self._report_rank[i],)
+                if report_rank[i] >= 0:
+                    start_reports[sym] += (report_rank[i],)
                 if feeds:
                     start_events[sym] += feeds
                 if resets:
@@ -182,7 +134,7 @@ class BitsetEngine(Engine):
         # start-report group): one list index in the hot loop instead of
         # three.
         start_groups = [
-            self._reports.group(list(ranks)) if ranks else ()
+            lowered.reports.group(list(ranks)) if ranks else ()
             for ranks in self._start_ranks
         ]
         self._sym_tab = list(
@@ -216,15 +168,12 @@ class BitsetEngine(Engine):
     def _group(self, sym: int, hits: int, fired: list[int] | None):
         """The report group of one offset: start reporters on ``sym``, the
         matched reporters ``hits`` (a mask) and the counter ranks ``fired``."""
+        report_rank = self._lowered.report_rank
         ranks = list(self._start_ranks[sym])
-        report_rank = self._report_rank
-        while hits:
-            low = hits & -hits
-            ranks.append(report_rank[low.bit_length() - 1])
-            hits ^= low
+        ranks += [report_rank[i] for i in iter_bits(hits)]
         if fired:
             ranks += fired
-        return self._reports.group(ranks)
+        return self._lowered.reports.group(ranks)
 
     # -- execution ---------------------------------------------------------
 
@@ -245,10 +194,7 @@ class BitsetStream:
         self._engine = engine
         self.offset = 0
         self.active_per_cycle: list[int] | None = [] if record_active else None
-        self._counter_state = {
-            ident: _CounterState(element)
-            for ident, element in engine._counters.items()
-        }
+        self._counter_state = engine._lowered.counter_states()
         self._rest = engine._initial_rest
         self._use_block = False
 
@@ -366,29 +312,17 @@ class BitsetStream:
     def _counter_cycle(self, sym, fed, fired):
         """Apply one cycle of counter resets/events; return fired successors.
 
-        The report-table ranks of reporting counters that fire are appended
-        to ``fired``.
+        ``fed`` is the mask of matched feeding states; the report-table
+        ranks of reporting counters that fire are appended to ``fired``.
         """
         engine = self._engine
-        events = set(engine._start_events[sym])
-        resets = set(engine._start_resets[sym])
-        counter_feeds = engine._counter_feeds
-        reset_feeds = engine._reset_feeds
-        while fed:
-            low = fed & -fed
-            i = low.bit_length() - 1
-            events.update(counter_feeds.get(i, ()))
-            resets.update(reset_feeds.get(i, ()))
-            fed ^= low
-        state = self._counter_state
-        # Resets apply before this cycle's count events (Section XI).
-        for ident in resets:
-            state[ident].reset()
         extra = 0
-        for ident in sorted(events):
-            counter = state[ident]
-            if counter.on_count_event():
-                if counter.element.report:
-                    fired.append(engine._reports.rank[ident])
-                extra |= engine._counter_succ_int[ident]
+        for ident in engine._lowered.counter_step(
+            self._counter_state,
+            iter_bits(fed),
+            fired,
+            engine._start_events[sym],
+            engine._start_resets[sym],
+        ):
+            extra |= engine._counter_succ_int[ident]
         return extra

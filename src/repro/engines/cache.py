@@ -39,6 +39,10 @@ a warm cache lookup costs the same for a 10-state and a 10^6-state
 automaton.  The one blind spot is mutating an element object in place
 (e.g. reassigning an STE's ``charset``): the graph is unchanged, so call
 :func:`automaton_fingerprint` with ``use_cache=False`` after such surgery.
+
+A second per-fingerprint LRU, :func:`resident`, holds what callers derive
+from an automaton besides an engine (the parallel-scan supervisor's
+records); the limit and :func:`clear_engine_cache` apply to both.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -62,6 +67,7 @@ __all__ = [
     "clear_engine_cache",
     "engine_cache_info",
     "set_engine_cache_limit",
+    "resident",
 ]
 
 _FINGERPRINT_ATTR = "_repro_fingerprint"
@@ -71,6 +77,12 @@ _cache: "OrderedDict[tuple, Engine]" = OrderedDict()
 _maxsize = 32
 _hits = 0
 _misses = 0
+#: Fingerprint -> what a caller keeps resident for it (the parallel-scan
+#: supervisor's records); bounded by ``_maxsize`` like ``_cache``.
+_resident: "OrderedDict[str, object]" = OrderedDict()
+#: Held while a resident value is derived, so each fingerprint is derived
+#: once per process; never taken together with ``_lock``.
+_resident_lock = threading.Lock()
 
 
 def automaton_fingerprint(automaton: Automaton, *, use_cache: bool = True) -> str:
@@ -194,6 +206,23 @@ def auto_engine(automaton: Automaton, **options) -> Engine:
         return compiled_engine(automaton, VectorEngine)
 
 
+def resident(fingerprint: str, update: Callable[[object | None], object]) -> object:
+    """The value kept resident for ``fingerprint``, as ``update`` leaves it.
+
+    ``update`` receives the current value (``None`` when there is none) and
+    returns the value to keep, usually the same one.  It runs under the
+    store's lock, so concurrent callers derive a fingerprint's value once
+    per process.  The store is an LRU bounded by the compile cache's limit.
+    """
+    with _resident_lock:
+        value = update(_resident.get(fingerprint))
+        _resident[fingerprint] = value
+        _resident.move_to_end(fingerprint)
+        while len(_resident) > _maxsize:
+            _resident.popitem(last=False)
+        return value
+
+
 @dataclass(frozen=True)
 class CacheInfo:
     """Hit/miss statistics of the engine compile cache."""
@@ -202,35 +231,33 @@ class CacheInfo:
     misses: int
     size: int
     maxsize: int
-    #: Fingerprints the parallel-scan supervisor holds resident in this
-    #: process (:mod:`repro.resilience.supervisor`), bounded by ``maxsize``.
+    #: Fingerprints held by :func:`resident` in this process (the
+    #: parallel-scan supervisor's records), bounded by ``maxsize``.
     resident: int
 
 
 def engine_cache_info() -> CacheInfo:
     """Current cache statistics (for benchmarks and diagnostics)."""
-    # Imported lazily: the supervisor imports this module.
-    from repro.resilience.supervisor import resident_size
-
     with _lock:
         hits, misses, size, maxsize = _hits, _misses, len(_cache), _maxsize
-    return CacheInfo(hits, misses, size, maxsize, resident=resident_size())
+    with _resident_lock:
+        held = len(_resident)
+    return CacheInfo(hits, misses, size, maxsize, resident=held)
 
 
 def clear_engine_cache() -> None:
-    """Drop every cached engine and resident automaton; reset the statistics."""
+    """Drop every cached engine and resident value; reset the statistics."""
     global _hits, _misses
-    from repro.resilience.supervisor import clear_resident
-
     with _lock:
         _cache.clear()
         _hits = 0
         _misses = 0
-    clear_resident()
+    with _resident_lock:
+        _resident.clear()
 
 
 def set_engine_cache_limit(maxsize: int) -> None:
-    """Resize the LRU (evicting oldest entries if shrinking)."""
+    """Resize both LRUs (evicting oldest entries if shrinking)."""
     global _maxsize
     if maxsize < 1:
         raise ValueError("cache limit must be at least 1")
@@ -238,3 +265,6 @@ def set_engine_cache_limit(maxsize: int) -> None:
         _maxsize = maxsize
         while len(_cache) > _maxsize:
             _cache.popitem(last=False)
+    with _resident_lock:
+        while len(_resident) > maxsize:
+            _resident.popitem(last=False)

@@ -10,7 +10,9 @@ symbol.
 
 Counters make the reachable state space input-history-dependent, so this
 engine rejects automata containing counter elements — exactly as Hyperscan
-rejects features outside its model.
+rejects features outside its model.  Subset construction runs over the
+STE indices, successor tuples, report ranks and start sets of the
+automaton's :class:`~repro.engines.lowered.Lowered` form.
 
 **Thread safety.**  The memo table grows across runs, and the shared
 compile cache (:mod:`repro.engines.cache`) hands one engine instance to
@@ -29,8 +31,8 @@ import threading
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.core.elements import STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable
+from repro.engines.base import Engine, ReportBatch
+from repro.engines.lowered import Lowered
 from repro.errors import CapacityError, EngineError
 from repro.resilience import faults
 from repro.resilience.guards import GUARD_BLOCK, current_guard
@@ -58,26 +60,13 @@ class LazyDFAEngine(Engine):
         #: see the module docstring's thread-safety contract.
         self._lock = threading.Lock()
 
-        stes: list[STE] = list(automaton.stes())
-        index = {ste.ident: i for i, ste in enumerate(stes)}
-        self._charsets = [ste.charset for ste in stes]
-        self._succ = [
-            tuple(sorted(index[s] for s in automaton.successors(ste.ident)))
-            for ste in stes
-        ]
-        self._reports = ReportTable(automaton)
+        lowered = Lowered(automaton)
+        self._charsets = [ste.charset for ste in lowered.stes]
+        self._succ = lowered.succ
+        self._reports = lowered.reports
         #: Report-table rank per STE; -1 for non-reporting STEs.
-        self._report_rank = [
-            self._reports.rank[ste.ident] if ste.report else -1 for ste in stes
-        ]
-        self._all_input = frozenset(
-            index[s.ident] for s in stes if s.start is StartMode.ALL_INPUT
-        )
-        initial = frozenset(
-            index[s.ident]
-            for s in stes
-            if s.start in (StartMode.ALL_INPUT, StartMode.START_OF_DATA)
-        )
+        self._report_rank = lowered.report_rank
+        self._all_input = frozenset(lowered.all_input)
 
         # DFA state table.  _trans[sid] is a length-256 list row; -1 marks
         # a transition not yet computed.  _emits[sid][sym] is the report
@@ -93,8 +82,8 @@ class LazyDFAEngine(Engine):
         #: active ScanGuard's ``memo_bytes`` budget.
         self._memo_bytes = 0
         with self._lock:
-            self._initial_id = self._intern(initial)
-        telemetry.record_compile("lazydfa", compile_t0, len(stes))
+            self._initial_id = self._intern(frozenset(lowered.initial))
+        telemetry.record_compile("lazydfa", compile_t0, lowered.n)
 
     # -- construction ------------------------------------------------------
 

@@ -7,7 +7,10 @@ membership is stored bit-packed: 32 bytes per state, so multi-million-state
 benchmarks stay memory-friendly.
 
 This is the engine used to compute Table I active-set statistics and to run
-benchmark inputs at scale.
+benchmark inputs at scale.  Its CSR successor table, packed charsets,
+report ranks and start arrays are built from the automaton's
+:class:`~repro.engines.lowered.Lowered` form, and counters step through
+:meth:`~repro.engines.lowered.Lowered.counter_step`.
 """
 
 from __future__ import annotations
@@ -16,33 +19,11 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable
-from repro.engines.reference import _CounterState
+from repro.engines.base import Engine, ReportBatch
+from repro.engines.lowered import Lowered, packed_charsets
 from repro.resilience.guards import GUARD_BLOCK, current_guard
 
 __all__ = ["VectorEngine", "VectorStream"]
-
-_CHUNK = 65536  # states per chunk when building the packed charset matrix
-
-
-def packed_charsets(stes: list[STE]) -> np.ndarray:
-    """Packed per-symbol membership: bit ``i & 7`` of ``[s, i >> 3]`` is 1
-    iff ``stes[i]`` matches symbol ``s``.
-
-    Built ``_CHUNK`` states at a time, so the boolean scratch matrix stays
-    bounded on multi-million-state automata.
-    """
-    n = len(stes)
-    charbits = np.zeros((256, (n + 7) // 8), dtype=np.uint8)
-    for base in range(0, n, _CHUNK):
-        chunk = stes[base : base + _CHUNK]
-        block = np.empty((len(chunk), 256), dtype=bool)
-        for row, ste in enumerate(chunk):
-            block[row] = ste.charset.to_bool_array()
-        packed = np.packbits(block.T, axis=1, bitorder="little")
-        charbits[:, base // 8 : base // 8 + packed.shape[1]] = packed
-    return charbits
 
 
 class VectorEngine(Engine):
@@ -51,78 +32,36 @@ class VectorEngine(Engine):
     def __init__(self, automaton: Automaton) -> None:
         super().__init__(automaton)
         compile_t0 = telemetry.clock()
-        stes: list[STE] = list(automaton.stes())
-        self._index = {ste.ident: i for i, ste in enumerate(stes)}
-        n = len(stes)
-        self._n = n
+        lowered = Lowered(automaton)
+        self._lowered = lowered
+        n = lowered.n
 
-        self._charbits = packed_charsets(stes)
+        self._charbits = packed_charsets(lowered.stes)
 
         # Flattened successor lists (STE -> STE edges only).
-        succ_lists: list[list[int]] = [[] for _ in range(n)]
-        self._counter_feeds: dict[int, list[str]] = {}
-        for ste in stes:
-            i = self._index[ste.ident]
-            for succ in automaton.successors(ste.ident):
-                element = automaton[succ]
-                if isinstance(element, STE):
-                    succ_lists[i].append(self._index[succ])
-                else:
-                    self._counter_feeds.setdefault(i, []).append(succ)
-        lengths = np.fromiter((len(s) for s in succ_lists), dtype=np.int64, count=n)
+        lengths = np.fromiter(map(len, lowered.succ), dtype=np.int64, count=n)
         self._succ_off = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(lengths, out=self._succ_off[1:])
         self._succ_flat = np.fromiter(
-            (d for s in succ_lists for d in s), dtype=np.int64, count=int(lengths.sum())
+            (d for s in lowered.succ for d in s), dtype=np.int64, count=int(lengths.sum())
         )
 
-        self._report_mask = np.fromiter((ste.report for ste in stes), dtype=bool, count=n)
-        self._reports = ReportTable(automaton)
         #: Report-table rank per STE; -1 for non-reporting STEs.
-        self._report_rank = np.fromiter(
-            (self._reports.rank[ste.ident] if ste.report else -1 for ste in stes),
-            dtype=np.int64,
-            count=n,
-        )
-        self._reset_feeds: dict[int, list[str]] = {}
-        for src, counter in automaton.reset_edges():
-            if src in self._index:
-                self._reset_feeds.setdefault(self._index[src], []).append(counter)
+        self._report_rank = np.asarray(lowered.report_rank, dtype=np.int64)
+        self._report_mask = self._report_rank >= 0
+        self._any_report = bool(lowered.reports.entries)
         self._feed_mask = np.zeros(n, dtype=bool)
-        for i in self._counter_feeds:
-            self._feed_mask[i] = True
-        for i in self._reset_feeds:
-            self._feed_mask[i] = True
-        self._has_feeds = bool(self._feed_mask.any())
+        self._feed_mask[list(lowered.feeding)] = True
+        self._has_feeds = bool(lowered.feeding)
 
-        self._all_input = np.fromiter(
-            sorted(
-                self._index[s.ident] for s in stes if s.start is StartMode.ALL_INPUT
-            ),
-            dtype=np.int64,
-        )
-        start_idx = sorted(
-            self._index[s.ident]
-            for s in stes
-            if s.start in (StartMode.ALL_INPUT, StartMode.START_OF_DATA)
-        )
-        self._initial = np.asarray(start_idx, dtype=np.int64)
+        self._all_input = np.asarray(lowered.all_input, dtype=np.int64)
+        self._initial = np.asarray(lowered.initial, dtype=np.int64)
 
         # Counters (rare; handled per-event in Python).
-        self._counters: dict[str, CounterElement] = {
-            c.ident: c for c in automaton.counters()
+        self._counter_succ: dict[str, np.ndarray] = {
+            ident: np.asarray(succ, dtype=np.int64)
+            for ident, succ in lowered.counter_succ.items()
         }
-        self._counter_succ: dict[str, np.ndarray] = {}
-        for ident in self._counters:
-            succ = [
-                self._index[s]
-                for s in automaton.successors(ident)
-                if isinstance(automaton[s], STE)
-            ]
-            self._counter_succ[ident] = np.asarray(sorted(succ), dtype=np.int64)
-        self._any_report = bool(self._report_mask.any()) or any(
-            c.report for c in self._counters.values()
-        )
         telemetry.record_compile("vector", compile_t0, n)
 
     # -- helpers -----------------------------------------------------------
@@ -159,10 +98,7 @@ class VectorStream:
         self._engine = engine
         self.offset = 0
         self.active_per_cycle: list[int] | None = [] if record_active else None
-        self._counter_state = {
-            ident: _CounterState(element)
-            for ident, element in engine._counters.items()
-        }
+        self._counter_state = engine._lowered.counter_states()
         self._enabled = engine._initial
 
     def feed(self, data: bytes) -> ReportBatch:
@@ -206,24 +142,14 @@ class VectorStream:
             if engine._has_feeds:
                 feed_hits = engine._feed_mask[matched]
                 if feed_hits.any():
-                    events: set[str] = set()
-                    resets: set[str] = set()
-                    for i in matched[feed_hits]:
-                        i = int(i)
-                        events.update(engine._counter_feeds.get(i, ()))
-                        resets.update(engine._reset_feeds.get(i, ()))
-                    for counter_ident in resets:
-                        counter_state[counter_ident].reset()
-                    for counter_ident in sorted(events):
-                        state = counter_state[counter_ident]
-                        if state.on_count_event():
-                            if state.element.report:
-                                ranks.append(engine._reports.rank[counter_ident])
-                            next_parts.append(engine._counter_succ[counter_ident])
+                    for ident in engine._lowered.counter_step(
+                        counter_state, matched[feed_hits].tolist(), ranks
+                    ):
+                        next_parts.append(engine._counter_succ[ident])
 
             if ranks:
                 reports.offsets.append(offset)
-                reports.groups.append(engine._reports.group(ranks))
+                reports.groups.append(engine._lowered.reports.group(ranks))
             next_parts.append(engine._all_input)
             enabled = np.unique(np.concatenate(next_parts))
 

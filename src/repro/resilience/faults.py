@@ -118,9 +118,12 @@ def maybe_stall(plan: FaultPlan | None, segment: int, attempt: int) -> None:
     time.sleep(plan.stall_s)
 
 
-def maybe_fail_engine(engine: str, segment: int | None) -> None:
+def maybe_fail_engine(
+    engine: str, segment: int | None, plan: FaultPlan | None = None
+) -> None:
     """Raise :class:`EngineFailure` if the plan poisons this attempt."""
-    if _plan is not None and _plan.scoped_to_segment(engine, segment):
+    plan = plan if plan is not None else _plan
+    if plan is not None and plan.scoped_to_segment(engine, segment):
         telemetry.incr("resilience.fault.engine_failure")
         raise EngineFailure(engine, "injected engine failure", segment=segment)
 

@@ -27,9 +27,10 @@ changes is what happens when a segment scan misbehaves:
 **Worker-resident automata.**  What the supervisor derives from an
 automaton — its pickle blob, the anchored flag and ``max_match_length``
 — is computed once per :func:`~repro.engines.cache.automaton_fingerprint`
-and kept in a bounded per-process LRU (sized like the engine compile
-cache).  A segment task carries that record and its chunk; the worker
-looks the fingerprint up in its own copy of the same LRU and unpickles
+and kept in the engine cache's per-process resident store
+(:func:`~repro.engines.cache.resident`, bounded and cleared with the
+compile cache).  A segment task carries that record and its chunk; the
+worker looks the fingerprint up in its own process's store and unpickles
 the blob only on a miss (``parallel.resident.miss``), then compiles
 through :func:`~repro.engines.cache.compiled_engine` as any caller does.
 Shipping the ready blob with every task costs a byte copy and spares
@@ -39,8 +40,6 @@ The record shares the compile cache's blind spot: an element mutated in
 place without a generation bump keeps its old fingerprint, and so its
 old record and blob; restamp it with
 ``automaton_fingerprint(automaton, use_cache=False)``.
-:func:`~repro.engines.cache.clear_engine_cache` drops this process's
-records too.
 
 The merge is deterministic regardless of completion order: each
 segment's :class:`~repro.engines.base.ReportBatch` is re-offset into
@@ -61,9 +60,7 @@ from __future__ import annotations
 import os
 import pickle
 import random
-import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import BrokenExecutor
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass, field
@@ -72,14 +69,12 @@ from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import StartMode
 from repro.engines import ENGINE_REGISTRY
-from repro.engines import cache as engine_cache
 from repro.engines.base import ReportBatch, RunResult
-from repro.engines.cache import automaton_fingerprint, compiled_engine
+from repro.engines.cache import automaton_fingerprint, compiled_engine, resident
 from repro.engines.parallel import Segment, split_with_overlap
 from repro.engines.prefilter import max_match_length
 from repro.errors import (
     EngineError,
-    EngineFailure,
     ReproError,
     ScanTimeout,
     WorkerCrash,
@@ -174,63 +169,39 @@ class _Resident:
     window: int | None
 
 
-#: Per process: fingerprint -> (record, this process's unpickled copy or
-#: ``None``).  The supervisor side adds records; the worker side (a pool
-#: process, or this one for serial and thread-pool scans) adds copies.
-_resident: "OrderedDict[str, tuple[_Resident, Automaton | None]]" = OrderedDict()
-#: Held across derive and unpickle so each fingerprint misses once per process.
-_resident_lock = threading.Lock()
-
-
-def _remember(record: _Resident, automaton: Automaton | None) -> None:
-    """Store an entry (lock held), evicting past the compile cache's size."""
-    _resident[record.fingerprint] = (record, automaton)
-    _resident.move_to_end(record.fingerprint)
-    while len(_resident) > engine_cache._maxsize:
-        _resident.popitem(last=False)
-
-
 def _resident_record(automaton: Automaton) -> _Resident:
-    """Supervisor side: the record for ``automaton``, derived on a miss."""
+    """Supervisor side: the record for ``automaton``, derived on a miss.
+
+    Records live in :func:`repro.engines.cache.resident` as ``(record,
+    this process's unpickled copy or None)``; the worker side (a pool
+    process, or this one for serial and thread-pool scans) fills the copy.
+    """
     fingerprint = automaton_fingerprint(automaton)
-    with _resident_lock:
-        entry = _resident.get(fingerprint)
+
+    def derive(entry):
         if entry is not None:
-            _resident.move_to_end(fingerprint)
-            return entry[0]
+            return entry
         record = _Resident(
             fingerprint,
             pickle.dumps(automaton, pickle.HIGHEST_PROTOCOL),
             any(s.start is StartMode.START_OF_DATA for s in automaton.stes()),
             max_match_length(automaton),
         )
-        _remember(record, None)
-        return record
+        return record, None
+
+    return resident(fingerprint, derive)[0]
 
 
 def _resident_automaton(record: _Resident) -> Automaton:
     """Worker side: this process's copy of the automaton, unpickled on a miss."""
-    with _resident_lock:
-        entry = _resident.get(record.fingerprint)
+
+    def load(entry):
         if entry is not None and entry[1] is not None:
-            _resident.move_to_end(record.fingerprint)
-            return entry[1]
+            return entry
         telemetry.incr("parallel.resident.miss")
-        automaton = pickle.loads(record.blob)
-        _remember(record, automaton)
-        return automaton
+        return record, pickle.loads(record.blob)
 
-
-def clear_resident() -> None:
-    """Drop this process's resident records and automaton copies."""
-    with _resident_lock:
-        _resident.clear()
-
-
-def resident_size() -> int:
-    """Fingerprints with a resident entry in this process."""
-    with _resident_lock:
-        return len(_resident)
+    return resident(record.fingerprint, load)[1]
 
 
 def _scan_segment_supervised(args):
@@ -251,8 +222,7 @@ def _scan_segment_supervised(args):
         try:
             faults.maybe_crash(plan, index, 1, parent_pid)
             faults.maybe_stall(plan, index, 1)
-            if plan is not None and plan.scoped_to_segment(label, index):
-                raise EngineFailure(label, "injected engine failure", segment=index)
+            faults.maybe_fail_engine(label, index, plan)
             engine = compiled_engine(_resident_automaton(record), engine_cls)
             guard = ScanGuard(budget, segment=index) if budget else None
             with telemetry.span("parallel.segment"), guard_scope(guard):
@@ -432,6 +402,13 @@ def supervised_parallel_scan(
                 telemetry.incr("resilience.pool.broken")
                 pool_broken = True
                 events, delta, error = None, None, WorkerCrash(index, 1)
+            except BaseException:
+                # A non-library error from an engine escapes the scan: it
+                # must not leave this scan's queued segments to run after
+                # the call is gone.
+                for future in futures:
+                    future.cancel()
+                raise
         _merge_worker_delta(delta)
         if error is not None:
             _note_failure(report, label, error)

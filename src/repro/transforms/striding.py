@@ -22,8 +22,8 @@ from __future__ import annotations
 from repro.analysis.preconditions import check_stride, require
 from repro.core.automaton import Automaton
 from repro.core.charset import CharSet
-from repro.core.elements import StartMode
 from repro.core.nfa import NFA
+from repro.engines.lowered import Lowered, bit_mask, iter_bits, membership_masks
 
 __all__ = ["stride", "pack_bits"]
 
@@ -59,48 +59,23 @@ def stride(automaton: Automaton, k: int = 8) -> Automaton:
     # width) instead of producing a silently-wrong automaton.
     require(check_stride(automaton, k), "stride")
 
-    stes = list(automaton.stes())
+    lowered = Lowered(automaton)
+    stes = lowered.stes
     if not stes:
         return Automaton(f"{automaton.name}.x{k}")
-    index = {ste.ident: i for i, ste in enumerate(stes)}
 
     max_symbol = max(max(ste.charset, default=0) for ste in stes)
     bits_per_symbol = max(1, max_symbol.bit_length())
     n_input_symbols = 1 << bits_per_symbol
 
     # Bitmask-based stepping machinery over original states.
-    symbol_masks = []
-    for symbol in range(n_input_symbols):
-        mask = 0
-        for i, ste in enumerate(stes):
-            if ste.charset.matches(symbol):
-                mask |= 1 << i
-        symbol_masks.append(mask)
-    succ_mask = [0] * len(stes)
-    for ste in stes:
-        i = index[ste.ident]
-        for dst in automaton.successors(ste.ident):
-            succ_mask[i] |= 1 << index[dst]
-    report_mask = 0
-    code_of: dict[int, object] = {}
-    for ste in stes:
-        if ste.report:
-            i = index[ste.ident]
-            report_mask |= 1 << i
-            code_of[i] = ste.report_code
-    all_input_mask = 0
-    anchored_mask = 0
-    for ste in stes:
-        if ste.start is StartMode.ALL_INPUT:
-            all_input_mask |= 1 << index[ste.ident]
-        elif ste.start is StartMode.START_OF_DATA:
-            anchored_mask |= 1 << index[ste.ident]
-
-    def iter_bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
+    symbol_masks = membership_masks(stes)[:n_input_symbols]
+    succ_mask = [bit_mask(dsts) for dsts in lowered.succ]
+    reporters = [i for i, rank in enumerate(lowered.report_rank) if rank >= 0]
+    report_mask = bit_mask(reporters)
+    code_of = {i: stes[i].report_code for i in reporters}
+    all_input_mask = bit_mask(lowered.all_input)
+    anchored_mask = bit_mask(lowered.initial) & ~all_input_mask
 
     def walk(initial: int, inject_all_input: bool):
         """All k-symbol walks from the ``initial`` enabled-set mask.
@@ -149,7 +124,7 @@ def stride(automaton: Automaton, k: int = 8) -> Automaton:
             acc_states[key] = state
         return acc_states[key]
 
-    for i in range(len(stes)):
+    for i in range(lowered.n):
         nfa.add_state(i)
 
     def emit(src: object, initial: int, inject: bool) -> None:
@@ -172,7 +147,7 @@ def stride(automaton: Automaton, k: int = 8) -> Automaton:
         # Active before block 0 only: matches anchored to stream start.
         nfa.add_state(START_ANCHOR, start=True)
         emit(START_ANCHOR, anchored_mask, inject=False)
-    for i in range(len(stes)):
+    for i in range(lowered.n):
         # A token at state i means "i was enabled at the block boundary";
         # mid-block injections are covered by START_ALL every block.
         emit(i, 1 << i, inject=False)

@@ -124,10 +124,11 @@ class TestBenchmarkRepr:
 class TestLargeCharsetAutomata:
     def test_vector_engine_chunked_charset_matrix(self):
         """Exercise the >1-chunk path of the packed charset build."""
+        import repro.engines.lowered as lowered_module
         import repro.engines.vector as vector_module
 
-        original = vector_module._CHUNK
-        vector_module._CHUNK = 64
+        original = lowered_module._CHUNK
+        lowered_module._CHUNK = 64
         try:
             from repro.regex import compile_ruleset
 
@@ -137,4 +138,4 @@ class TestLargeCharsetAutomata:
             engine = vector_module.VectorEngine(automaton)
             assert engine.count_reports(b"zz x007y zz") == 1
         finally:
-            vector_module._CHUNK = original
+            lowered_module._CHUNK = original

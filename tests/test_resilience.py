@@ -11,12 +11,17 @@ import multiprocessing
 import os
 import pickle
 import sys
+import threading
 
 import pytest
 
 from repro import telemetry
 from repro.engines import BitsetEngine, ReferenceEngine, VectorEngine
-from repro.engines.cache import clear_engine_cache, engine_cache_info
+from repro.engines.cache import (
+    clear_engine_cache,
+    engine_cache_info,
+    set_engine_cache_limit,
+)
 from repro.engines.parallel import Segment, parallel_scan
 from repro.errors import (
     CheckpointMismatch,
@@ -244,6 +249,7 @@ class TestSupervisor:
         assert bad.error == bad.failures[-1][1]
         assert counter("resilience.segment.retries") == 0
         assert counter("resilience.segment.poisoned") == 1
+        assert counter("resilience.fault.engine_failure") == 1
         expected = [
             fp for fp in oracle
             if not bad.segment.keep_from <= fp[0] < bad.segment.end
@@ -272,6 +278,31 @@ class TestSupervisor:
         assert outcome.degraded
         assert {report.engine for report in outcome.segments} == {"bitset"}
         assert fingerprints(outcome.result) == oracle
+
+    def test_foreign_error_cancels_queued_segments(self, automaton, data):
+        # A non-library error from an engine escapes the scan; the scan's
+        # queued segments must not run after the call has raised.  Every
+        # construction after the first blocks, so at most segment 1 is
+        # running when the first failure reaches the supervisor.
+        release = threading.Event()
+        calls = []
+
+        class Exploding(VectorEngine):
+            def __init__(self, automaton):
+                calls.append(len(calls))
+                if len(calls) > 1:
+                    release.wait(10)
+                raise RuntimeError("custom engine bug")
+
+        with concurrent.futures.ThreadPoolExecutor(1) as pool:
+            try:
+                with pytest.raises(RuntimeError, match="custom engine bug"):
+                    supervised_parallel_scan(
+                        automaton, data, 8, pool=pool, engine=Exploding
+                    )
+            finally:
+                release.set()
+        assert len(calls) <= 2
 
     def test_strict_mode_reraises_original_error(self, automaton, data):
         with inject_faults(FaultPlan(poison_segments=frozenset({0}))):
@@ -357,6 +388,21 @@ class TestResidentAutomata:
         assert counter("parallel.resident.miss") == rounds * len(automata)
         clear_engine_cache()
         assert engine_cache_info().resident == 0
+
+
+    def test_shrinking_cache_limit_trims_resident(self, data):
+        patterns = ("cmd\\.exe", "SELECT", "admin", "passwd", "root")
+        clear_engine_cache()
+        try:
+            for pattern in patterns:
+                supervised_parallel_scan(compile_regex(pattern), data, 2)
+            assert engine_cache_info().resident == len(patterns)
+            set_engine_cache_limit(1)
+            info = engine_cache_info()
+            assert (info.size, info.maxsize, info.resident) == (1, 1, 1)
+        finally:
+            set_engine_cache_limit(32)
+            clear_engine_cache()
 
 
 class TestErrorPickling:
