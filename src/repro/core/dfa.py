@@ -11,8 +11,9 @@ small rulesets.  Two classic size levers are implemented:
 * **Mealy minimization** — partition refinement over (emission, successor)
   signatures collapses equivalent subset states.
 
-Subset construction runs over the STE indices, successor tuples and start
-sets of the automaton's :class:`~repro.engines.lowered.Lowered` form.
+Subset construction and the symbol classes come from the automaton's
+:class:`~repro.engines.lowered.SubsetMasks`, the same big-int subset step
+the lazy DFA memoises.
 
 Report semantics match the engines': taking a transition that corresponds
 to a matching reporting STE emits that STE's report code at the current
@@ -27,7 +28,7 @@ import numpy as np
 
 from repro.core.automaton import Automaton
 from repro.engines.base import ReportBatch, RunResult
-from repro.engines.lowered import Lowered, packed_charsets
+from repro.engines.lowered import Lowered, SubsetMasks
 from repro.errors import CapacityError, EngineError
 
 __all__ = ["DFA"]
@@ -56,49 +57,27 @@ class DFA:
         if any(True for _ in automaton.counters()):
             raise EngineError("DFA compilation does not support counters")
         lowered = Lowered(automaton)
-        stes = lowered.stes
-        n = lowered.n
-
-        # Alphabet compression: group symbols by their membership column.
-        membership = np.unpackbits(
-            packed_charsets(stes), axis=1, count=n, bitorder="little"
-        )
-        _, symbol_class, = np.unique(membership, axis=0, return_inverse=True)
-        n_classes = int(symbol_class.max()) + 1 if n else 1
-        class_rep = np.zeros(n_classes, dtype=np.int64)
-        for symbol in range(255, -1, -1):
-            class_rep[symbol_class[symbol]] = symbol
-
-        succ = lowered.succ
-        report_rank = lowered.report_rank
+        masks = SubsetMasks(lowered)
         entries = lowered.reports.entries
-        all_input = frozenset(lowered.all_input)
-        initial = frozenset(lowered.initial)
+        # Alphabet compression: one column per class of symbols with equal
+        # membership masks, stepped on its first symbol.
+        class_rep = [symbols[0] for symbols in masks.classes]
+        n_classes = len(class_rep)
 
-        set_to_id: dict[frozenset, int] = {initial: 0}
-        worklist = [initial]
+        set_to_id: dict[int, int] = {masks.initial: 0}
+        worklist = [masks.initial]
         rows: list[np.ndarray] = []
         emissions: list[dict[int, frozenset]] = []
         while worklist:
-            state_set = worklist.pop()
-            sid = set_to_id[state_set]
+            subset = worklist.pop()
+            sid = set_to_id[subset]
             while len(rows) <= sid:
                 rows.append(np.zeros(n_classes, dtype=np.int64))
                 emissions.append({})
             row = rows[sid]
             emit = emissions[sid]
-            for cls_index in range(n_classes):
-                symbol = int(class_rep[cls_index])
-                matched = [
-                    i for i in state_set if stes[i].charset.matches(symbol)
-                ]
-                codes = frozenset(
-                    entries[report_rank[i]][1] for i in matched if report_rank[i] >= 0
-                )
-                nxt = set(all_input)
-                for i in matched:
-                    nxt.update(succ[i])
-                nxt = frozenset(nxt)
+            for cls_index, symbol in enumerate(class_rep):
+                ranks, nxt = masks.step(subset, symbol)
                 target = set_to_id.get(nxt)
                 if target is None:
                     if len(set_to_id) >= max_states:
@@ -110,10 +89,12 @@ class DFA:
                     set_to_id[nxt] = target
                     worklist.append(nxt)
                 row[cls_index] = target
-                if codes:
-                    emit[cls_index] = codes
+                if ranks:
+                    emit[cls_index] = frozenset(entries[rank][1] for rank in ranks)
         transitions = np.vstack(rows) if rows else np.zeros((1, n_classes), dtype=np.int64)
-        return cls(transitions, emissions, 0, symbol_class.astype(np.int64))
+        return cls(
+            transitions, emissions, 0, np.asarray(masks.symbol_class, dtype=np.int64)
+        )
 
     # -- properties ----------------------------------------------------------
 

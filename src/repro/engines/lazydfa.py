@@ -3,16 +3,23 @@
 Hyperscan's role in the paper's experiments (Tables III and IV) is to
 represent DFA-style CPU engines whose per-symbol cost is a constant-time
 table lookup, independent of the NFA active set.  This engine reproduces
-that property via on-the-fly subset construction: DFA states (frozen sets of
-enabled STEs) and their transitions are built the first time they are
-visited and memoised, so steady-state scanning is one table lookup per
-symbol.
+that property via on-the-fly subset construction: DFA states and their
+transitions are built the first time they are visited and memoised, so
+steady-state scanning is one table lookup per symbol.
 
 Counters make the reachable state space input-history-dependent, so this
 engine rejects automata containing counter elements — exactly as Hyperscan
-rejects features outside its model.  Subset construction runs over the
-STE indices, successor tuples, report ranks and start sets of the
-automaton's :class:`~repro.engines.lowered.Lowered` form.
+rejects features outside its model.
+
+**Subsets and classes.**  A DFA state's subset of enabled STEs is one
+big int over the STE indices of the automaton's
+:class:`~repro.engines.lowered.Lowered` form, and a transition is one
+:meth:`~repro.engines.lowered.SubsetMasks.step`: the subset ANDed with the
+symbol's membership mask, then the successor masks of the matched STEs
+ORed onto the ALL_INPUT mask.  Symbols with equal membership masks form
+one alphabet class, and no subset tells them apart, so one compute fills
+the transition (and emit entry) of every symbol in the class.  Rows stay
+256 entries wide, so the scan loop has no per-symbol class lookup.
 
 **Thread safety.**  The memo table grows across runs, and the shared
 compile cache (:mod:`repro.engines.cache`) hands one engine instance to
@@ -20,9 +27,10 @@ every thread, so all memo growth — subset interning, transition, emit and
 has-emit bit writes — happens under ``_lock``.  The scan loop stays
 lock-free: it reads published rows only, and an unexplored transition
 (-1) sends it through :meth:`LazyDFAEngine._compute`, which re-checks
-under the lock.  The transition write is the *last* store of a compute
-(after the emit-table and has-emit bit writes), so a lock-free reader
-that observes the new state id also observes its reports.
+under the lock.  The transition writes for the class are the *last*
+stores of a compute (after every emit-table and has-emit bit write of the
+class), so a lock-free reader that observes a new state id also observes
+its reports.
 """
 
 from __future__ import annotations
@@ -32,7 +40,7 @@ import threading
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.engines.base import Engine, ReportBatch
-from repro.engines.lowered import Lowered
+from repro.engines.lowered import Lowered, SubsetMasks, bit_mask
 from repro.errors import CapacityError, EngineError
 from repro.resilience import faults
 from repro.resilience.guards import GUARD_BLOCK, current_guard
@@ -61,20 +69,21 @@ class LazyDFAEngine(Engine):
         self._lock = threading.Lock()
 
         lowered = Lowered(automaton)
-        self._charsets = [ste.charset for ste in lowered.stes]
-        self._succ = lowered.succ
+        masks = self._masks = SubsetMasks(lowered)
         self._reports = lowered.reports
-        #: Report-table rank per STE; -1 for non-reporting STEs.
-        self._report_rank = lowered.report_rank
-        self._all_input = frozenset(lowered.all_input)
+        class_bits = [bit_mask(symbols) for symbols in masks.classes]
+        #: Per symbol: the symbols of its alphabet class, and their bits.
+        self._class_of = [
+            (masks.classes[cls], class_bits[cls]) for cls in masks.symbol_class
+        ]
 
         # DFA state table.  _trans[sid] is a length-256 list row; -1 marks
         # a transition not yet computed.  _emits[sid][sym] is the report
         # group (the ReportBatch group tuple) fired when leaving sid on sym,
         # and bit sym of _emit_bits[sid] is set exactly when that entry
         # exists, so the common no-report path never probes the dicts.
-        self._set_to_id: dict[frozenset[int], int] = {}
-        self._id_to_set: list[frozenset[int]] = []
+        self._set_to_id: dict[int, int] = {}
+        self._id_to_set: list[int] = []
         self._trans: list[list[int]] = []
         self._emits: list[dict[int, tuple[tuple[str, object], ...]]] = []
         self._emit_bits: list[int] = []
@@ -82,14 +91,14 @@ class LazyDFAEngine(Engine):
         #: active ScanGuard's ``memo_bytes`` budget.
         self._memo_bytes = 0
         with self._lock:
-            self._initial_id = self._intern(frozenset(lowered.initial))
+            self._initial_id = self._intern(self._masks.initial)
         telemetry.record_compile("lazydfa", compile_t0, lowered.n)
 
     # -- construction ------------------------------------------------------
 
-    def _intern(self, state_set: frozenset[int]) -> int:
+    def _intern(self, subset: int) -> int:
         """Intern one subset; the caller must hold ``_lock``."""
-        sid = self._set_to_id.get(state_set)
+        sid = self._set_to_id.get(subset)
         if sid is None:
             if len(self._id_to_set) >= self._max_dfa_states:
                 raise CapacityError(
@@ -97,14 +106,14 @@ class LazyDFAEngine(Engine):
                     "automaton is too nondeterministic for the DFA engine"
                 )
             sid = len(self._id_to_set)
-            self._set_to_id[state_set] = sid
-            self._id_to_set.append(state_set)
+            self._set_to_id[subset] = sid
+            self._id_to_set.append(subset)
             self._trans.append([-1] * 256)
             self._emits.append({})
             self._emit_bits.append(0)
             telemetry.incr("lazydfa.dfa_states")
             self._memo_bytes += int(
-                (_STATE_BASE_BYTES + _STATE_MEMBER_BYTES * len(state_set))
+                (_STATE_BASE_BYTES + _STATE_MEMBER_BYTES * subset.bit_count())
                 * faults.memo_inflation()
             )
             guard = current_guard()
@@ -122,23 +131,20 @@ class LazyDFAEngine(Engine):
             if nid >= 0:
                 return nid
             telemetry.incr("lazydfa.memo_computes")
-            current = self._id_to_set[sid]
-            matched = [i for i in current if self._charsets[i].matches(symbol)]
-            # A ReportBatch group (sorted by ident), so the scan loop
-            # appends it as is.
-            report_rank = self._report_rank
-            ranks = [report_rank[i] for i in matched if report_rank[i] >= 0]
-            emits = self._reports.group(ranks) if ranks else ()
-            nxt: set[int] = set(self._all_input)
-            for i in matched:
-                nxt.update(self._succ[i])
-            nid = self._intern(frozenset(nxt))
-            if emits:
-                self._emits[sid][symbol] = emits
-                self._emit_bits[sid] |= 1 << symbol
+            ranks, nxt = self._masks.step(self._id_to_set[sid], symbol)
+            nid = self._intern(nxt)
+            symbols, bits = self._class_of[symbol]
+            if ranks:
+                # A ReportBatch group (sorted by ident), so the scan loop
+                # appends it as is.
+                emits = self._reports.group(ranks)
+                self._emits[sid].update(dict.fromkeys(symbols, emits))
+                self._emit_bits[sid] |= bits
             # Publish last: lock-free readers treat a non-negative
             # transition as "emits for this (sid, symbol) are in place".
-            self._trans[sid][symbol] = nid
+            row = self._trans[sid]
+            for member in symbols:
+                row[member] = nid
             return nid
 
     @property
@@ -191,7 +197,7 @@ class LazyDFAStream:
             for index in range(pos, min(pos + GUARD_BLOCK, length)):
                 symbol = data[index]
                 if active_counts is not None:
-                    active_counts.append(len(id_to_set[sid]))
+                    active_counts.append(id_to_set[sid].bit_count())
                 nid = rows[sid][symbol]
                 if nid < 0:
                     nid = engine._compute(sid, symbol)

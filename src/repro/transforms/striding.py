@@ -23,7 +23,7 @@ from repro.analysis.preconditions import check_stride, require
 from repro.core.automaton import Automaton
 from repro.core.charset import CharSet
 from repro.core.nfa import NFA
-from repro.engines.lowered import Lowered, bit_mask, iter_bits, membership_masks
+from repro.engines.lowered import Lowered, SubsetMasks, iter_bits
 
 __all__ = ["stride", "pack_bits"]
 
@@ -69,13 +69,13 @@ def stride(automaton: Automaton, k: int = 8) -> Automaton:
     n_input_symbols = 1 << bits_per_symbol
 
     # Bitmask-based stepping machinery over original states.
-    symbol_masks = membership_masks(stes)[:n_input_symbols]
-    succ_mask = [bit_mask(dsts) for dsts in lowered.succ]
-    reporters = [i for i, rank in enumerate(lowered.report_rank) if rank >= 0]
-    report_mask = bit_mask(reporters)
-    code_of = {i: stes[i].report_code for i in reporters}
-    all_input_mask = bit_mask(lowered.all_input)
-    anchored_mask = bit_mask(lowered.initial) & ~all_input_mask
+    masks = SubsetMasks(lowered)
+    symbol_masks = masks.symbol_masks[:n_input_symbols]
+    succ_mask = masks.succ_masks
+    report_mask = masks.report_mask
+    code_of = {i: stes[i].report_code for i in iter_bits(report_mask)}
+    all_input_mask = masks.all_input
+    anchored_mask = masks.initial & ~all_input_mask
 
     def walk(initial: int, inject_all_input: bool):
         """All k-symbol walks from the ``initial`` enabled-set mask.

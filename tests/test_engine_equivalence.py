@@ -180,14 +180,25 @@ def test_dfa_memoisation_is_input_independent(automaton, data, split):
 
     Also pins the invariant the lock-free scan loop relies on: a state's
     has-emit bits name exactly its memoised emit entries, and each of those
-    symbols' transitions is published."""
+    symbols' transitions is published.  And one compute fills a whole
+    alphabet class: symbols that every STE matches alike share their
+    transition (all -1 or one id) and their emit entry in every row."""
     split = min(split, len(data))
     eng = LazyDFAEngine(automaton)
     eng.run(data[split:])  # warm the memo with a different stream
+    eng.run(b"z" + data[:split])  # and touch the class of unused symbols
     fresh = LazyDFAEngine(automaton).run(data)
     assert eng.run(data).reports == fresh.reports
+    classes: dict[tuple[bool, ...], list[int]] = {}
+    stes = list(automaton.stes())
+    for symbol in range(256):
+        column = tuple(ste.charset.matches(symbol) for ste in stes)
+        classes.setdefault(column, []).append(symbol)
     for sid in range(eng.dfa_state_count):
         bits = eng._emit_bits[sid]
         emit_symbols = {symbol for symbol in range(256) if (bits >> symbol) & 1}
         assert emit_symbols == set(eng._emits[sid])
         assert all(eng._trans[sid][symbol] >= 0 for symbol in emit_symbols)
+        for symbols in classes.values():
+            assert len({eng._trans[sid][symbol] for symbol in symbols}) == 1
+            assert len({eng._emits[sid].get(symbol) for symbol in symbols}) == 1

@@ -2,7 +2,7 @@
 
 from repro.core import Automaton, CharSet, CounterMode, StartMode
 from repro.engines import BitsetEngine, ReferenceEngine, VectorEngine
-from repro.engines.lowered import Lowered
+from repro.engines.lowered import Lowered, SubsetMasks
 
 
 def wired_automaton() -> Automaton:
@@ -55,3 +55,37 @@ def test_lowered_form_and_engines_agree_through_lifted_feed():
         result = engine_cls(automaton).run(data, record_active=True)
         assert list(result.reports.iter_rows()) == rows
         assert result.active_per_cycle == oracle.active_per_cycle
+
+
+def test_subset_masks_step_and_alphabet_classes():
+    automaton = wired_automaton()
+    # ``m`` matches two symbols that no other STE tells apart.
+    automaton.add_ste("m", CharSet.from_chars("pq"), report=True, report_code="M")
+    automaton.add_edge("b", "m")
+    masks = SubsetMasks(Lowered(automaton))
+    # STE indices: a 0, b 1, s 2, r 3, d 4, m 5; report ranks a 0, d 2, m 3, s 4.
+    assert masks.symbol_masks[ord("a")] == 0b000001
+    assert masks.symbol_masks[ord("p")] == masks.symbol_masks[ord("q")] == 0b100000
+    assert (masks.all_input, masks.initial, masks.report_mask) == (0b1, 0b101, 0b110101)
+    assert masks.succ_masks == [0b10, 0b101000, 0, 0, 0, 0]
+
+    # Classes are numbered by their first symbol; every symbol no STE
+    # matches shares class 0.
+    by_symbol = {chr(symbols[0]): symbols for symbols in masks.classes[1:]}
+    assert masks.classes[0][:3] == (0, 1, 2)
+    assert by_symbol == {
+        "a": (ord("a"),), "b": (ord("b"),), "d": (ord("d"),),
+        "p": (ord("p"), ord("q")), "r": (ord("r"),), "x": (ord("x"),),
+    }
+    assert len(masks.classes) == 7
+    for cls, symbols in enumerate(masks.classes):
+        assert all(masks.symbol_class[symbol] == cls for symbol in symbols)
+    assert sorted(s for symbols in masks.classes for s in symbols) == list(range(256))
+
+    # Matched STEs report their ranks and enable their successors on top
+    # of the ALL_INPUT mask; the counter feed of ``a`` is not a successor.
+    assert masks.step(masks.initial, ord("a")) == ([0], 0b11)
+    assert masks.step(masks.initial, ord("x")) == ([4], 0b1)
+    assert masks.step(0b10, ord("b")) == ([], 0b101001)
+    assert masks.step(0b101000, ord("q")) == masks.step(0b101000, ord("p")) == ([3], 0b1)
+    assert masks.step(0b101000, ord("z")) == ([], 0b1)
