@@ -5,14 +5,16 @@ enabled.  One step is (a) AND with the precomputed per-symbol membership
 mask (256 masks, packed by the same
 :func:`~repro.engines.lowered.packed_charsets` as
 :class:`~repro.engines.vector.VectorEngine`), then (b) OR of the matched
-states' precomputed successor bitmasks.  Reports are harvested from the
-matched mask only on cycles where the report-mask AND is nonzero — as
-report-table ranks sorted into one :class:`~repro.engines.base.ReportBatch`
-group per firing offset — and ``record_active`` is a popcount, so Table I
-statistics reproduce exactly.  Every mask and table is built from the
-automaton's :class:`~repro.engines.lowered.Lowered` form, and counters
-step through :meth:`~repro.engines.lowered.Lowered.counter_step`, as in
-the vector engine.
+states' precomputed successor bitmasks; both come, with the report and
+start masks, from :class:`~repro.engines.lowered.SubsetMasks`.  Reports
+are harvested from the matched mask only on cycles where the report-mask
+AND is nonzero — as report-table ranks sorted into one
+:class:`~repro.engines.base.ReportBatch` group per firing offset — and
+``record_active`` is a popcount, so Table I statistics reproduce
+exactly.  Every mask and table is built from the automaton's
+:class:`~repro.engines.lowered.Lowered` form, and counters step through
+:meth:`~repro.engines.lowered.Lowered.counter_step`, as in the vector
+engine.
 
 Two structural decisions make this engine fast where the numpy engines are
 not:
@@ -57,7 +59,7 @@ from __future__ import annotations
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.engines.base import Engine, ReportBatch
-from repro.engines.lowered import Lowered, bit_mask, iter_bits, membership_masks
+from repro.engines.lowered import Lowered, SubsetMasks, bit_mask, iter_bits
 from repro.errors import CapacityError
 from repro.resilience.guards import current_guard
 
@@ -84,22 +86,21 @@ class BitsetEngine(Engine):
         self._n = n
         self._nbytes = (n + 7) // 8
 
-        # Per-symbol membership masks, packed exactly like VectorEngine's
-        # _charbits and then adopted as big ints (bit i = state i).
-        charmask = membership_masks(lowered.stes)
-
-        # Per-state successor bitmasks (STE -> STE edges only); counter
-        # feeds and reset wires go through the lowered form's maps.
-        succ = [bit_mask(dsts) for dsts in lowered.succ]
-        self._succ_int = succ
+        # Per-symbol membership, per-state successor (STE -> STE edges
+        # only), report and start masks as big ints (bit i = state i), the
+        # same model the DFA engines step; counter feeds and reset wires go
+        # through the lowered form's maps.
+        masks = SubsetMasks(lowered)
+        charmask = masks.symbol_masks
+        succ = self._succ_int = masks.succ_masks
         report_rank = lowered.report_rank
-        self._report_int = bit_mask(i for i, rank in enumerate(report_rank) if rank >= 0)
+        self._report_int = masks.report_mask
         self._feed_int = bit_mask(lowered.feeding)
 
-        all_input = bit_mask(lowered.all_input)
+        all_input = masks.all_input
         self._not_all = ~all_input
         self._all_count = len(lowered.all_input)
-        self._initial_rest = bit_mask(lowered.initial) & ~all_input
+        self._initial_rest = masks.initial & ~all_input
 
         # Counters (rare; handled per-event in Python, as in VectorEngine).
         self._counter_succ_int: dict[str, int] = {
