@@ -77,7 +77,7 @@ def claim_violations(
             if diagnostic.code == code:
                 inert.update(diagnostic.element_ids)
     for ident in sorted(inert):
-        state = stream._counter_state.get(ident)
+        state = stream.counter_states.get(ident)
         if state is None:
             continue
         if state.count > 0 or state.latched or state.stopped or ident in ever_matched:

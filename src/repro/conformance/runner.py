@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.engines import ENGINE_REGISTRY
-from repro.engines.base import Engine
+from repro.engines.base import Engine, Stream
 from repro.engines.reference import ReferenceEngine
 from repro.errors import ReproError
 from repro.io import from_anml, from_mnrl, to_anml, to_mnrl
@@ -92,11 +92,10 @@ def _canonical_reports(batches) -> list[tuple[int, str, str]]:
     )
 
 
-def _counter_snapshot(stream) -> dict[str, tuple[int, bool, bool]]:
-    states = getattr(stream, "_counter_state", None) or {}
+def _counter_snapshot(stream: Stream) -> dict[str, tuple[int, bool, bool]]:
     return {
         ident: (state.count, state.latched, state.stopped)
-        for ident, state in states.items()
+        for ident, state in stream.counter_states.items()
     }
 
 

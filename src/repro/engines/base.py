@@ -38,9 +38,11 @@ from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from operator import itemgetter
 
+from repro import telemetry
 from repro.core.automaton import Automaton
+from repro.resilience.guards import GUARD_BLOCK, current_guard
 
-__all__ = ["ReportEvent", "ReportBatch", "ReportTable", "RunResult", "Engine"]
+__all__ = ["ReportEvent", "ReportBatch", "ReportTable", "RunResult", "Engine", "Stream"]
 
 #: One report group: the ``(ident, code)`` pairs fired at one offset.
 Group = tuple[tuple[str, object], ...]
@@ -267,11 +269,14 @@ class RunResult:
 class Engine(abc.ABC):
     """Common engine interface: compile once, run many streams."""
 
+    #: The engine's name in compile and scan telemetry and in guard errors.
+    label: str
+
     def __init__(self, automaton: Automaton) -> None:
         self.automaton = automaton
 
     @abc.abstractmethod
-    def stream(self, *, record_active: bool = False):
+    def stream(self, *, record_active: bool = False) -> "Stream":
         """A streaming session: ``feed(chunk)`` returns that chunk's
         :class:`ReportBatch`, and state persists between feeds."""
 
@@ -283,3 +288,46 @@ class Engine(abc.ABC):
     def count_reports(self, data: bytes) -> int:
         """Convenience: number of report events over ``data``."""
         return self.run(data).report_count
+
+
+class Stream(abc.ABC):
+    """One streaming session: the feed frame every engine shares.
+
+    :meth:`feed` owns the stream offset, the guard's deadline checks and
+    the scan telemetry; a subclass holds the engine's model state and
+    scans one block of at most :data:`GUARD_BLOCK` symbols per :meth:`_scan`.
+    """
+
+    def __init__(self, engine: Engine, *, record_active: bool = False) -> None:
+        self._engine = engine
+        self.offset = 0
+        self.active_per_cycle: list[int] | None = [] if record_active else None
+        #: Counter ident -> its state (``count``, ``latched``, ``stopped``).
+        self.counter_states: dict = {}
+
+    def feed(self, data: bytes) -> ReportBatch:
+        """Scan ``data`` from the current state and return its reports.
+
+        The deadline is checked at entry, so a scan that arrives late trips
+        before consuming anything (even an empty feed), then at each block.
+        """
+        scan_t0 = telemetry.clock()
+        label = self._engine.label
+        reports = ReportBatch()
+        base = self.offset
+        length = len(data)
+        guard = current_guard()
+        if guard is not None:
+            guard.check_deadline(label, base)
+        for pos in range(0, length, GUARD_BLOCK):
+            if pos and guard is not None:
+                guard.check_deadline(label, base + pos)
+            self._scan(data, pos, min(pos + GUARD_BLOCK, length), base, reports)
+        self.offset = base + length
+        if scan_t0 is not None:
+            telemetry.record_scan(label, scan_t0, length, len(reports))
+        return reports
+
+    @abc.abstractmethod
+    def _scan(self, data: bytes, pos: int, end: int, base: int, reports: ReportBatch):
+        """Scan ``data[pos:end]`` into ``reports``; ``data[0]`` is at ``base``."""

@@ -34,9 +34,11 @@ not:
   The per-symbol loop then only walks the *non-start* matched bits, which
   on low-activity workloads (Snort) averages below one bit per symbol.
 
-Successor propagation runs in one scan loop whose walk of the matched
-mask is picked per chunk of 512 symbols from the running matched-set
-density:
+Successor propagation runs in one scan loop, ``BitsetStream._scan``,
+which the shared feed frame (:class:`~repro.engines.base.Stream`) calls
+once per block of :data:`~repro.resilience.guards.GUARD_BLOCK` (512)
+symbols.  Its walk of the matched mask is picked per block from the
+previous block's matched-set density:
 
 * **per-bit walk** — visit the set bits one at a time (``m & -m``) and OR
   that state's successor mask; cost proportional to the matched count.
@@ -58,18 +60,17 @@ from __future__ import annotations
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.engines.base import Engine, ReportBatch
+from repro.engines.base import Engine, Stream
 from repro.engines.lowered import Lowered, SubsetMasks, bit_mask, iter_bits
 from repro.errors import CapacityError
-from repro.resilience.guards import current_guard
 
 __all__ = ["BitsetEngine", "BitsetStream"]
-
-_BLOCK_SYMBOLS = 512  # symbols between density-heuristic re-evaluations
 
 
 class BitsetEngine(Engine):
     """Bit-parallel active-set simulation of a homogeneous automaton."""
+
+    label = "bitset"
 
     def __init__(self, automaton: Automaton, *, max_states: int = 65536) -> None:
         super().__init__(automaton)
@@ -149,7 +150,7 @@ class BitsetEngine(Engine):
         # walk costs ~1 unit per matched bit, the per-byte walk ~2 units
         # per mask byte regardless of density.
         self._block_cutover = max(4, n >> 2)
-        telemetry.record_compile("bitset", compile_t0, n)
+        telemetry.record_compile(self.label, compile_t0, n)
 
     # -- helpers -----------------------------------------------------------
 
@@ -183,7 +184,7 @@ class BitsetEngine(Engine):
         return BitsetStream(self, record_active=record_active)
 
 
-class BitsetStream:
+class BitsetStream(Stream):
     """Persistent execution state for :class:`BitsetEngine`.
 
     The state is the non-start part of the enabled mask (ALL_INPUT states
@@ -191,57 +192,26 @@ class BitsetStream:
     successor-walk choice, so chunk boundaries are invisible.
     """
 
+    _engine: BitsetEngine
+
     def __init__(self, engine: BitsetEngine, *, record_active: bool = False) -> None:
-        self._engine = engine
-        self.offset = 0
-        self.active_per_cycle: list[int] | None = [] if record_active else None
-        self._counter_state = engine._lowered.counter_states()
+        super().__init__(engine, record_active=record_active)
+        self.counter_states = engine._lowered.counter_states()
         self._rest = engine._initial_rest
         self._use_block = False
 
-    def feed(self, data: bytes) -> ReportBatch:
-        scan_t0 = telemetry.clock()
-        engine = self._engine
-        reports = ReportBatch()
-        base = self.offset
-        rest = self._rest
-        use_block = self._use_block
-        cutover = engine._block_cutover
-        pos = 0
-        length = len(data)
-        total_pop = 0
-        guard = current_guard()
-        if guard is not None:
-            guard.check_deadline("bitset", base)
-        while pos < length:
-            if guard is not None:
-                guard.check_deadline("bitset", base + pos)
-            end = min(pos + _BLOCK_SYMBOLS, length)
-            rest, matched_pop = self._run(
-                data, pos, end, rest, base, reports, use_block
-            )
-            use_block = matched_pop > cutover * (end - pos)
-            total_pop += matched_pop
-            pos = end
-        self._rest = rest
-        self._use_block = use_block
-        self.offset = base + length
-        if scan_t0 is not None:
-            telemetry.record_scan("bitset", scan_t0, length, len(reports))
-            telemetry.incr("engine.matched_states.bitset", total_pop)
-        return reports
-
-    def _run(self, data, pos, end, rest, base, reports, block):
-        """Scan ``data[pos:end]``; return the next mask and matched count.
+    def _scan(self, data, pos, end, base, reports):
+        """Scan ``data[pos:end]`` and pick the next block's successor walk.
 
         Per symbol: record popcount, AND with the symbol mask, OR the
         matched bits' successor masks into the precomputed start-successor
         mask, apply the (rare) counter machinery, then append the offset's
-        report group.  ``block`` picks the walk of the matched bits: per
-        byte through :attr:`_block_lut` (O(n/8)) or per set bit (O(matched
-        count)).  The no-match arm is the hot one on low-activity
-        workloads: one fused table row, one AND, and the next mask comes
-        straight from the premasked start-successor table.
+        report group.  :attr:`_use_block` picks the walk of the matched
+        bits: per byte through :attr:`BitsetEngine._block_lut` (O(n/8)) or
+        per set bit (O(matched count)); the block's matched count sets it
+        for the next block.  The no-match arm is the hot one on
+        low-activity workloads: one fused table row, one AND, and the next
+        mask comes straight from the premasked start-successor table.
         """
         engine = self._engine
         tab = engine._sym_tab
@@ -260,8 +230,10 @@ class BitsetStream:
         active = self.active_per_cycle
         offsets = reports.offsets
         groups = reports.groups
+        block = self._use_block
+        rest = self._rest
         pop = 0
-        for offset, sym in enumerate(data[pos:end], pos):
+        for offset, sym in enumerate(data[pos:end], base + pos):
             if active is not None:
                 active.append(all_count + rest.bit_count())
             mask, nxt0, sg = tab[sym]
@@ -294,21 +266,23 @@ class BitsetStream:
                 hits = m & rep_int
                 g = group_of(sym, hits, fired) if hits or fired else sg
                 if g:
-                    offsets.append(base + offset)
+                    offsets.append(offset)
                     groups.append(g)
             elif has_counters and (start_events[sym] or start_resets[sym]):
                 fired = []
                 rest = (nxt0 | self._counter_cycle(sym, 0, fired)) & not_all
                 g = group_of(sym, 0, fired) if fired else sg
                 if g:
-                    offsets.append(base + offset)
+                    offsets.append(offset)
                     groups.append(g)
             else:
                 rest = nxt0
                 if sg:
-                    offsets.append(base + offset)
+                    offsets.append(offset)
                     groups.append(sg)
-        return rest, pop
+        self._rest = rest
+        self._use_block = pop > engine._block_cutover * (end - pos)
+        telemetry.incr("engine.matched_states.bitset", pop)
 
     def _counter_cycle(self, sym, fed, fired):
         """Apply one cycle of counter resets/events; return fired successors.
@@ -319,7 +293,7 @@ class BitsetStream:
         engine = self._engine
         extra = 0
         for ident in engine._lowered.counter_step(
-            self._counter_state,
+            self.counter_states,
             iter_bits(fed),
             fired,
             engine._start_events[sym],

@@ -11,6 +11,10 @@ Counters make the reachable state space input-history-dependent, so this
 engine rejects automata containing counter elements — exactly as Hyperscan
 rejects features outside its model.
 
+:class:`LazyDFAStream` is one DFA state id under the shared feed frame,
+:class:`~repro.engines.base.Stream`.  A memo-budget trip carries the stream
+offset of the symbol whose transition outgrew the budget.
+
 **Subsets and classes.**  A DFA state's subset of enabled STEs is one
 big int over the STE indices of the automaton's
 :class:`~repro.engines.lowered.Lowered` form, and a transition is one
@@ -39,11 +43,11 @@ import threading
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.engines.base import Engine, ReportBatch
+from repro.engines.base import Engine, Stream
 from repro.engines.lowered import Lowered, SubsetMasks, bit_mask
 from repro.errors import CapacityError, EngineError
 from repro.resilience import faults
-from repro.resilience.guards import GUARD_BLOCK, current_guard
+from repro.resilience.guards import current_guard
 
 #: Estimated heap bytes per interned DFA state: the 256-entry transition
 #: row (2048) plus dict/list bookkeeping, before the per-member subset
@@ -57,6 +61,8 @@ __all__ = ["LazyDFAEngine", "LazyDFAStream"]
 
 class LazyDFAEngine(Engine):
     """On-the-fly subset construction with memoised transitions."""
+
+    label = "lazydfa"
 
     def __init__(self, automaton: Automaton, *, max_dfa_states: int = 2_000_000) -> None:
         super().__init__(automaton)
@@ -91,13 +97,14 @@ class LazyDFAEngine(Engine):
         #: active ScanGuard's ``memo_bytes`` budget.
         self._memo_bytes = 0
         with self._lock:
-            self._initial_id = self._intern(self._masks.initial)
-        telemetry.record_compile("lazydfa", compile_t0, lowered.n)
+            self._initial_id = self._intern(self._masks.initial, None)
+        telemetry.record_compile(self.label, compile_t0, lowered.n)
 
     # -- construction ------------------------------------------------------
 
-    def _intern(self, subset: int) -> int:
-        """Intern one subset; the caller must hold ``_lock``."""
+    def _intern(self, subset: int, offset: int | None) -> int:
+        """Intern one subset reached at stream ``offset``; the caller must
+        hold ``_lock``."""
         sid = self._set_to_id.get(subset)
         if sid is None:
             if len(self._id_to_set) >= self._max_dfa_states:
@@ -120,10 +127,10 @@ class LazyDFAEngine(Engine):
             if guard is not None:
                 # Hard degradation: the fallback ladder reruns the scan on
                 # the next engine down.
-                guard.check_memo("lazydfa", self._memo_bytes)
+                guard.check_memo(self.label, self._memo_bytes, offset)
         return sid
 
-    def _compute(self, sid: int, symbol: int) -> int:
+    def _compute(self, sid: int, symbol: int, offset: int) -> int:
         with self._lock:
             # Another thread may have computed this transition between our
             # lock-free -1 read and acquiring the lock.
@@ -132,7 +139,7 @@ class LazyDFAEngine(Engine):
                 return nid
             telemetry.incr("lazydfa.memo_computes")
             ranks, nxt = self._masks.step(self._id_to_set[sid], symbol)
-            nid = self._intern(nxt)
+            nid = self._intern(nxt, offset)
             symbols, bits = self._class_of[symbol]
             if ranks:
                 # A ReportBatch group (sorted by ident), so the scan loop
@@ -159,26 +166,22 @@ class LazyDFAEngine(Engine):
         return LazyDFAStream(self, record_active=record_active)
 
 
-class LazyDFAStream:
+class LazyDFAStream(Stream):
     """Persistent execution state (the current DFA state id).
 
     Each symbol costs one transition load plus one has-emit bit test; an
     unexplored transition is computed inline and the scan carries on.
     """
 
+    _engine: LazyDFAEngine
+
     def __init__(self, engine: LazyDFAEngine, *, record_active: bool = False) -> None:
-        self._engine = engine
-        self.offset = 0
-        self.active_per_cycle: list[int] | None = [] if record_active else None
+        super().__init__(engine, record_active=record_active)
         self._sid = engine._initial_id
 
-    def feed(self, data: bytes) -> ReportBatch:
-        scan_t0 = telemetry.clock()
+    def _scan(self, data, pos, end, base, reports):
         engine = self._engine
-        reports = ReportBatch()
         sid = self._sid
-        base = self.offset
-        length = len(data)
         active_counts = self.active_per_cycle
         # The state lists only ever grow, so these captures stay valid
         # while other threads intern new states.
@@ -188,25 +191,15 @@ class LazyDFAStream:
         id_to_set = engine._id_to_set
         offsets_append = reports.offsets.append
         groups_append = reports.groups.append
-        guard = current_guard()
-        if guard is not None:
-            guard.check_deadline("lazydfa", base)
-        for pos in range(0, length, GUARD_BLOCK):
-            if guard is not None:
-                guard.check_deadline("lazydfa", base + pos)
-            for index in range(pos, min(pos + GUARD_BLOCK, length)):
-                symbol = data[index]
-                if active_counts is not None:
-                    active_counts.append(id_to_set[sid].bit_count())
-                nid = rows[sid][symbol]
-                if nid < 0:
-                    nid = engine._compute(sid, symbol)
-                if (emit_bits[sid] >> symbol) & 1:
-                    offsets_append(base + index)
-                    groups_append(emits[sid][symbol])
-                sid = nid
+        for index in range(pos, end):
+            symbol = data[index]
+            if active_counts is not None:
+                active_counts.append(id_to_set[sid].bit_count())
+            nid = rows[sid][symbol]
+            if nid < 0:
+                nid = engine._compute(sid, symbol, base + index)
+            if (emit_bits[sid] >> symbol) & 1:
+                offsets_append(base + index)
+                groups_append(emits[sid][symbol])
+            sid = nid
         self._sid = sid
-        self.offset = base + length
-        if scan_t0 is not None:
-            telemetry.record_scan("lazydfa", scan_t0, length, len(reports))
-        return reports

@@ -5,7 +5,8 @@ the execution model in :mod:`repro.engines.base`.  Every other engine is
 property-tested against it.  Its per-cycle cost is proportional to the
 active set, which also makes it the faithful stand-in for VASim's
 performance behaviour in the Table III experiment (AP-padding states inflate
-the active set and therefore CPU runtime).
+the active set and therefore CPU runtime).  Its stream scans block by block
+under the feed frame all engines share, :class:`~repro.engines.base.Stream`.
 """
 
 from __future__ import annotations
@@ -13,8 +14,7 @@ from __future__ import annotations
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, CounterMode, STE, StartMode
-from repro.engines.base import Engine, ReportBatch, ReportTable
-from repro.resilience.guards import GUARD_BLOCK, current_guard
+from repro.engines.base import Engine, ReportTable, Stream
 
 __all__ = ["ReferenceEngine", "ReferenceStream"]
 
@@ -61,6 +61,8 @@ class ReferenceEngine(Engine):
     charsets and counter targets/modes are read from the elements live.
     """
 
+    label = "reference"
+
     def __init__(self, automaton: Automaton) -> None:
         super().__init__(automaton)
         compile_t0 = telemetry.clock()
@@ -79,7 +81,7 @@ class ReferenceEngine(Engine):
         for src, counter in automaton.reset_edges():
             self._reset_feeds.setdefault(src, []).append(counter)
         self._reports = ReportTable(automaton)
-        telemetry.record_compile("reference", compile_t0, len(self._stes))
+        telemetry.record_compile(self.label, compile_t0, len(self._stes))
 
     def stream(
         self, *, record_active: bool = False, record_trace: bool = False
@@ -94,14 +96,11 @@ class ReferenceEngine(Engine):
         )
 
 
-class ReferenceStream:
-    """Persistent execution state for :class:`ReferenceEngine`.
+class ReferenceStream(Stream):
+    """Persistent execution state for :class:`ReferenceEngine`: the
+    enabled set and the counter states."""
 
-    ``feed`` consumes a chunk and returns the reports it produced as a
-    :class:`~repro.engines.base.ReportBatch` (with stream-global offsets);
-    chunk boundaries are invisible to the automaton
-    (property-tested: any chunking yields the ``run()`` report stream).
-    """
+    _engine: ReferenceEngine
 
     def __init__(
         self,
@@ -110,36 +109,23 @@ class ReferenceStream:
         record_active: bool = False,
         record_trace: bool = False,
     ) -> None:
-        self._engine = engine
-        self.offset = 0
-        self.active_per_cycle: list[int] | None = [] if record_active else None
+        super().__init__(engine, record_active=record_active)
         #: Elements ever enabled / ever matched-or-fired (trace mode only).
         self.ever_enabled: set[str] | None = set() if record_trace else None
         self.ever_matched: set[str] | None = set() if record_trace else None
-        self._counter_state = {
+        self.counter_states = {
             ident: _CounterState(element)
             for ident, element in engine._counters.items()
         }
         self._enabled: set[str] = set(engine._start_of_data) | set(engine._all_input)
 
-    def feed(self, data: bytes) -> ReportBatch:
-        scan_t0 = telemetry.clock()
+    def _scan(self, data, pos, end, base, reports):
         engine = self._engine
-        reports = ReportBatch()
         report_rank = engine._reports.rank
         active_counts = self.active_per_cycle
-        counter_state = self._counter_state
+        counter_state = self.counter_states
         enabled = self._enabled
-        base = self.offset
-        guard = current_guard()
-        if guard is not None:
-            # Entry check so a scan that arrives past its deadline (e.g.
-            # after an injected stall) trips before consuming anything.
-            guard.check_deadline("reference", base)
-        for index, symbol in enumerate(data):
-            offset = base + index
-            if guard is not None and index % GUARD_BLOCK == 0:
-                guard.check_deadline("reference", offset)
+        for offset, symbol in enumerate(data[pos:end], base + pos):
             if active_counts is not None:
                 active_counts.append(len(enabled))
             if self.ever_enabled is not None:
@@ -197,7 +183,3 @@ class ReferenceStream:
             enabled = next_enabled
 
         self._enabled = enabled
-        self.offset = base + len(data)
-        if scan_t0 is not None:
-            telemetry.record_scan("reference", scan_t0, len(data), len(reports))
-        return reports

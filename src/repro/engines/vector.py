@@ -10,7 +10,8 @@ This is the engine used to compute Table I active-set statistics and to run
 benchmark inputs at scale.  Its CSR successor table, packed charsets,
 report ranks and start arrays are built from the automaton's
 :class:`~repro.engines.lowered.Lowered` form, and counters step through
-:meth:`~repro.engines.lowered.Lowered.counter_step`.
+:meth:`~repro.engines.lowered.Lowered.counter_step`.  Its stream scans block
+by block under the shared feed frame, :class:`~repro.engines.base.Stream`.
 """
 
 from __future__ import annotations
@@ -19,15 +20,16 @@ import numpy as np
 
 from repro import telemetry
 from repro.core.automaton import Automaton
-from repro.engines.base import Engine, ReportBatch
+from repro.engines.base import Engine, Stream
 from repro.engines.lowered import Lowered, packed_charsets
-from repro.resilience.guards import GUARD_BLOCK, current_guard
 
 __all__ = ["VectorEngine", "VectorStream"]
 
 
 class VectorEngine(Engine):
     """Vectorised active-set simulation of a homogeneous automaton."""
+
+    label = "vector"
 
     def __init__(self, automaton: Automaton) -> None:
         super().__init__(automaton)
@@ -62,7 +64,7 @@ class VectorEngine(Engine):
             ident: np.asarray(succ, dtype=np.int64)
             for ident, succ in lowered.counter_succ.items()
         }
-        telemetry.record_compile("vector", compile_t0, n)
+        telemetry.record_compile(self.label, compile_t0, n)
 
     # -- helpers -----------------------------------------------------------
 
@@ -91,36 +93,26 @@ class VectorEngine(Engine):
         return VectorStream(self, record_active=record_active)
 
 
-class VectorStream:
-    """Persistent execution state for :class:`VectorEngine`."""
+class VectorStream(Stream):
+    """Persistent execution state for :class:`VectorEngine`: the sorted
+    enabled-index array and the counter states."""
+
+    _engine: VectorEngine
 
     def __init__(self, engine: VectorEngine, *, record_active: bool = False) -> None:
-        self._engine = engine
-        self.offset = 0
-        self.active_per_cycle: list[int] | None = [] if record_active else None
-        self._counter_state = engine._lowered.counter_states()
+        super().__init__(engine, record_active=record_active)
+        self.counter_states = engine._lowered.counter_states()
         self._enabled = engine._initial
 
-    def feed(self, data: bytes) -> ReportBatch:
-        scan_t0 = telemetry.clock()
+    def _scan(self, data, pos, end, base, reports):
         engine = self._engine
-        reports = ReportBatch()
         active_counts = self.active_per_cycle
-        counter_state = self._counter_state
-        buffer = np.frombuffer(data, dtype=np.uint8) if data else np.empty(0, np.uint8)
-        base = self.offset
-
-        guard = current_guard()
-        if guard is not None:
-            guard.check_deadline("vector", base)
+        counter_state = self.counter_states
         enabled = self._enabled
-        for index in range(len(buffer)):
-            offset = base + index
-            if guard is not None and index % GUARD_BLOCK == 0:
-                guard.check_deadline("vector", offset)
+        for offset, symbol in enumerate(data[pos:end], base + pos):
             if active_counts is not None:
                 active_counts.append(int(enabled.size))
-            matched = engine._matches(int(buffer[index]), enabled)
+            matched = engine._matches(symbol, enabled)
 
             if not matched.size:
                 # Nothing fired: the next enabled set is exactly the
@@ -154,7 +146,3 @@ class VectorStream:
             enabled = np.unique(np.concatenate(next_parts))
 
         self._enabled = enabled
-        self.offset = base + len(data)
-        if scan_t0 is not None:
-            telemetry.record_scan("vector", scan_t0, len(data), len(reports))
-        return reports

@@ -1,10 +1,12 @@
 """Scan resource guards: wall-clock deadlines and memo byte budgets.
 
 A :class:`ScanGuard` is installed around one scan attempt with
-:func:`guard_scope`; engines look it up with :func:`current_guard` at feed
-entry and consult it at *block* granularity (every ~1k symbols), never
-per symbol, so a guarded scan pays a handful of time checks per feed and
-an unguarded scan pays one thread-local read.
+:func:`guard_scope`; the engines' shared feed frame,
+:meth:`repro.engines.base.Stream.feed`, looks it up with
+:func:`current_guard` at feed entry and checks the deadline there and at
+the start of every :data:`GUARD_BLOCK` symbols, never per symbol, so a
+guarded scan pays a handful of time checks per feed and an unguarded scan
+pays one thread-local read.
 
 The guard is thread-local: engines are shared objects (the compile cache
 hands one instance to every thread), but budgets belong to the *scan*,
@@ -31,10 +33,10 @@ from dataclasses import dataclass
 from repro import telemetry
 from repro.errors import MemoryBudgetExceeded, ScanTimeout
 
-__all__ = ["ScanBudget", "ScanGuard", "current_guard", "guard_scope"]
+__all__ = ["GUARD_BLOCK", "ScanBudget", "ScanGuard", "current_guard", "guard_scope"]
 
-#: Symbols between deadline checks in engines without a natural block loop.
-GUARD_BLOCK = 1024
+#: Symbols per scan block of :meth:`repro.engines.base.Stream.feed`.
+GUARD_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -70,11 +72,11 @@ class ScanGuard:
                 engine, offset, self.budget.wall_s or 0.0, segment=self.segment
             )
 
-    def check_memo(self, engine: str, used_bytes: int) -> None:
+    def check_memo(self, engine: str, used_bytes: int, offset: int | None) -> None:
         """Raise :class:`MemoryBudgetExceeded` if the memo budget is blown."""
         if self.memo_budget is not None and used_bytes > self.memo_budget:
             telemetry.incr("resilience.guard.memo_budget")
-            raise MemoryBudgetExceeded(engine, used_bytes, self.memo_budget)
+            raise MemoryBudgetExceeded(engine, used_bytes, self.memo_budget, offset)
 
 
 _local = threading.local()

@@ -158,15 +158,15 @@ def test_bitset_density_heuristic_switches_paths():
     engine = BitsetEngine(a)
     stream = engine.stream(record_active=True)
     walks = []
-    run = stream._run
+    scan = stream._scan
 
     def spy(*args):
+        block = stream._use_block
         lut_before = len(engine._block_lut)
-        result = run(*args)
-        walks.append((args[-1], len(engine._block_lut) > lut_before))
-        return result
+        scan(*args)
+        walks.append((block, len(engine._block_lut) > lut_before))
 
-    stream._run = spy
+    stream._scan = spy
     assert stream.feed(data) == ref.reports
     assert walks == [(False, False), (True, True), (False, False)]
     assert not stream._use_block

@@ -12,11 +12,12 @@ import os
 import pickle
 import sys
 import threading
+import time
 
 import pytest
 
 from repro import telemetry
-from repro.engines import BitsetEngine, ReferenceEngine, VectorEngine
+from repro.engines import ENGINE_REGISTRY, BitsetEngine, ReferenceEngine, VectorEngine
 from repro.engines.cache import (
     clear_engine_cache,
     engine_cache_info,
@@ -45,6 +46,7 @@ from repro.resilience import (
     resilient_scan,
     supervised_parallel_scan,
 )
+from repro.resilience.guards import GUARD_BLOCK
 from repro.resilience.supervisor import _resident_record, _scan_segment_supervised
 
 PATTERN = "(cmd\\.exe|SELECT|powershell|admin)"
@@ -84,14 +86,54 @@ def counter(name: str) -> int:
     return telemetry.snapshot()["counters"].get(name, 0)
 
 
+class _LateDeadline(ScanGuard):
+    """A guard whose deadline passes just before its second deadline check."""
+
+    __slots__ = ("checks",)
+
+    def __init__(self) -> None:
+        super().__init__(ScanBudget(wall_s=60.0))
+        self.checks = 0
+
+    def check_deadline(self, engine: str, offset: int) -> None:
+        self.checks += 1
+        if self.checks == 2:
+            self.deadline = time.perf_counter() - 1.0
+        super().check_deadline(engine, offset)
+
+
 class TestGuards:
-    @pytest.mark.parametrize("engine_cls", [ReferenceEngine, VectorEngine, BitsetEngine])
+    @pytest.mark.parametrize("engine_cls", list(ENGINE_REGISTRY.values()))
     def test_exhausted_deadline_trips_every_engine(self, engine_cls, automaton, data):
         engine = engine_cls(automaton)
         with guard_scope(ScanGuard(ScanBudget(wall_s=0.0))):
-            with pytest.raises(ScanTimeout):
+            with pytest.raises(ScanTimeout) as info:
                 engine.run(data)
-        assert counter("resilience.guard.timeout") >= 1
+        assert (info.value.engine, info.value.offset) == (engine_cls.label, 0)
+        assert counter("resilience.guard.timeout") == 1
+        assert counter(f"resilience.guard.timeout.{engine_cls.label}") == 1
+
+    @pytest.mark.parametrize("engine_cls", list(ENGINE_REGISTRY.values()))
+    def test_empty_feed_trips_at_entry(self, engine_cls, automaton):
+        stream = engine_cls(automaton).stream()
+        stream.feed(b"cmd.exe")
+        with guard_scope(ScanGuard(ScanBudget(wall_s=0.0))):
+            with pytest.raises(ScanTimeout) as info:
+                stream.feed(b"")
+        assert (info.value.engine, info.value.offset) == (engine_cls.label, 7)
+
+    @pytest.mark.parametrize("engine_cls", list(ENGINE_REGISTRY.values()))
+    def test_deadline_passing_mid_feed_trips_at_next_block(
+        self, engine_cls, automaton, data
+    ):
+        assert len(data) > 2 * GUARD_BLOCK
+        engine = engine_cls(automaton)
+        guard = _LateDeadline()
+        with guard_scope(guard):
+            with pytest.raises(ScanTimeout) as info:
+                engine.run(data)
+        assert (info.value.engine, info.value.offset) == (engine_cls.label, GUARD_BLOCK)
+        assert guard.checks == 2
 
     def test_timeout_carries_context(self, automaton, data):
         with guard_scope(ScanGuard(ScanBudget(wall_s=0.0), segment=3)):
@@ -109,6 +151,7 @@ class TestGuards:
                 engine.run(data)
         assert info.value.engine == "lazydfa"
         assert info.value.used_bytes > info.value.budget_bytes
+        assert 0 <= info.value.offset < len(data)
         assert counter("resilience.guard.memo_budget") == 1
 
     def test_memo_budget_trip_point_is_pinned(self):
@@ -130,6 +173,7 @@ class TestGuards:
                 for fed in range(len(data)):
                     stream.feed(data[fed : fed + 1])
         assert (fed, info.value.used_bytes) == (46, 40_992)
+        assert info.value.offset == 46
         assert engine.dfa_state_count == 19
 
     def test_unguarded_scan_unaffected(self, automaton, data, oracle):

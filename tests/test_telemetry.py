@@ -6,7 +6,9 @@ from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 import pytest
 
 from repro import telemetry
+from repro.core import Automaton, CharSet, StartMode
 from repro.engines import (
+    ENGINE_REGISTRY,
     BitsetEngine,
     LazyDFAEngine,
     VectorEngine,
@@ -16,6 +18,7 @@ from repro.engines import (
 )
 from repro.engines.parallel import parallel_scan
 from repro.regex import compile_regex
+from repro.resilience.guards import GUARD_BLOCK
 
 
 @pytest.fixture(autouse=True)
@@ -134,14 +137,21 @@ class TestRegistry:
 
 
 class TestEngineInstrumentation:
+    def test_engine_labels(self):
+        # perfbench and docs/OBSERVABILITY.md read the metrics by these labels.
+        assert {name: cls.label for name, cls in ENGINE_REGISTRY.items()} == {
+            "reference": "reference",
+            "vector": "vector",
+            "bitset": "bitset",
+            "dfa": "lazydfa",
+        }
+
     def test_compile_and_scan_recorded(self):
         telemetry.enable()
         automaton = compile_regex("ab", report_code="r")
-        for cls, label in [
-            (BitsetEngine, "bitset"),
-            (VectorEngine, "vector"),
-            (LazyDFAEngine, "lazydfa"),
-        ]:
+        blocks = (b"xxabxx" * 300)[: 3 * GUARD_BLOCK + 5]
+        for cls in ENGINE_REGISTRY.values():
+            label = cls.label
             engine = cls(automaton)
             engine.run(b"xxabxx")
             snap = telemetry.snapshot()
@@ -149,7 +159,35 @@ class TestEngineInstrumentation:
             assert telemetry.counter_value(f"engine.symbols.{label}", snap) == 6
             assert telemetry.counter_value(f"engine.reports.{label}", snap) == 1
             assert snap["timers"][f"engine.compile.{label}"]["count"] == 1
-            assert snap["timers"][f"engine.scan.{label}"]["count"] >= 1
+            assert snap["timers"][f"engine.scan.{label}"]["count"] == 1
+            # One multi-block feed is one scan entry, whatever its block count.
+            engine.stream().feed(blocks)
+            snap = telemetry.snapshot()
+            assert snap["timers"][f"engine.scan.{label}"]["count"] == 2
+            assert telemetry.counter_value(f"engine.symbols.{label}", snap) == 6 + len(
+                blocks
+            )
+            assert telemetry.counter_value(f"engine.reports.{label}", snap) == 1 + 257
+
+    def test_bitset_matched_states(self):
+        """Matched-state mass is the same however feeds split into blocks
+        (values recorded before the feed frame moved into ``Stream``)."""
+        telemetry.enable()
+        BitsetEngine(compile_regex("ab", report_code="r")).run(
+            (b"xxabxx" * 300)[: 3 * GUARD_BLOCK + 5]
+        )
+        assert telemetry.counter_value("engine.matched_states.bitset") == 257
+        telemetry.reset()
+        mesh = Automaton("dense")
+        mesh.add_ste("s0", CharSet.from_chars("a"), start=StartMode.ALL_INPUT)
+        for i in range(15):
+            mesh.add_ste(f"d{i}", CharSet.from_chars("a"), report=i == 0)
+            mesh.add_edge("s0", f"d{i}")
+        for i in range(15):
+            for j in range(15):
+                mesh.add_edge(f"d{i}", f"d{j}")
+        BitsetEngine(mesh).run(b"a" * 600 + b"b" * 600 + b"a" * 10)
+        assert telemetry.counter_value("engine.matched_states.bitset") == 9120
 
     def test_lazydfa_memo_counters(self):
         telemetry.enable()

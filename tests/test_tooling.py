@@ -86,6 +86,43 @@ def test_no_unused_imports_in_src():
     assert not problems, "\n".join(problems)
 
 
+#: Calls that belong to the stream frame, ``repro.engines.base.Stream.feed``.
+_FRAME_CALLS = {"check_deadline", "record_scan"}
+#: Frame calls allowed outside base.py: ``PrefilterScanner.scan`` is a
+#: one-shot multi-rule scan, not a stream, and records its own
+#: ``engine.scan.prefilter`` (its rule engines' streams use the frame).
+_FRAME_CALL_EXEMPT = {"prefilter.py": {"record_scan"}}
+
+
+def test_engine_streams_share_the_feed_frame():
+    """Guard checks and scan telemetry live in ``Stream.feed`` only, and
+    no registry engine's stream replaces it, so every engine has the same
+    guard blocks and the same ``engine.scan.<label>`` epilogue."""
+    from repro.core import Automaton, CharSet, StartMode
+    from repro.engines import ENGINE_REGISTRY
+    from repro.engines.base import Stream
+
+    problems = []
+    for path in sorted((SRC / "engines").glob("*.py")):
+        if path.name == "base.py":
+            continue
+        allowed = _FRAME_CALL_EXEMPT.get(path.name, set())
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
+            if name in _FRAME_CALLS - allowed:
+                problems.append(f"{path.relative_to(REPO)}:{node.lineno}: calls {name}")
+    automaton = Automaton()
+    automaton.add_ste("s", CharSet.from_chars("a"), start=StartMode.ALL_INPUT, report=True)
+    for name, engine_cls in ENGINE_REGISTRY.items():
+        stream_cls = type(engine_cls(automaton).stream())
+        if stream_cls.feed is not Stream.feed:
+            problems.append(f"{name}: {stream_cls.__name__} overrides Stream.feed")
+    assert not problems, "\n".join(problems)
+
+
 def test_src_compiles_with_warnings_as_errors():
     """Every module byte-compiles; syntax rot fails fast even for files
     no test currently imports."""
