@@ -11,9 +11,10 @@ engine hot path — regressions show up as a speedup or cold-rate drop
 against the numbers recorded in the repo.
 
 The benchmark slice covers the activity spectrum: Snort (sparse active
-set, report-heavy), Hamming 18x3 (dense mesh activity), Brill (mid-size
-token rules), and AP PRNG 4-sided (counter elements, so the DFA engine
-sits this one out).
+set, report-heavy), Hamming 18x3 and Levenshtein 19x3 (dense mesh
+activity; the two halves of the ``dna_mesh`` workload's automaton),
+Brill (mid-size token rules), and AP PRNG 4-sided (counter elements, so
+the DFA engine sits this one out).
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from repro.benchmarks import build_benchmark
 from repro.engines import ENGINE_REGISTRY, ReferenceEngine
 from repro.errors import EngineError, CapacityError
 
-BENCH_SLICE = ("Snort", "Hamming 18x3", "Brill", "AP PRNG 4-sided")
+BENCH_SLICE = ("Snort", "Hamming 18x3", "Levenshtein 19x3", "Brill", "AP PRNG 4-sided")
 INPUT_LIMIT = 8_000
 REPEATS = 5  # best-of-N: single runs are ~ms-scale and timing-noise-bound
 
@@ -129,7 +130,8 @@ def render(results) -> str:
 
 def test_engine_throughput(benchmark, scale, results_dir, max_seconds):
     # Telemetry rides along (feed-level instrumentation, so the per-symbol
-    # hot loops are untouched); the snapshot lands in the JSON artifact so
+    # hot loops are untouched, except that the bitset memo walk sums each
+    # symbol's matched count); the snapshot lands in the JSON artifact so
     # a speedup regression comes with its compile/scan/memo breakdown.
     was_enabled = telemetry.is_enabled()
     telemetry.enable()

@@ -14,7 +14,9 @@ only builds its own structures from it.
 bitset engine, the lazy DFA, the ahead-of-time DFA and ``stride``.  It
 also holds the alphabet compression: symbols whose membership masks are
 equal form one class, so the lazy DFA computes a transition once per
-(state, class) and the ahead-of-time DFA keeps one column per class.
+(state, class) and the ahead-of-time DFA keeps one column per class.  Its
+:meth:`SubsetMasks.slice` of one index interval steps a group of
+connected components alone (the bitset engine's memo walk).
 
 :class:`~repro.engines.reference.ReferenceEngine` does not use this form:
 it is the ident-level oracle the lowered engines are tested against.
@@ -188,8 +190,20 @@ class SubsetMasks:
     )
 
     def __init__(self, lowered: Lowered) -> None:
-        #: Per-symbol membership masks (:func:`membership_masks`).
-        self.symbol_masks = membership_masks(lowered.stes)
+        classes: dict[int, list[int]] = {}
+        for symbol, mask in enumerate(membership_masks(lowered.stes)):
+            classes.setdefault(mask, []).append(symbol)
+        #: The symbols of each alphabet class, numbered by first symbol.
+        self.classes = [tuple(symbols) for symbols in classes.values()]
+        #: Symbol -> alphabet class.
+        self.symbol_class = [0] * 256
+        for cls, symbols in enumerate(self.classes):
+            for symbol in symbols:
+                self.symbol_class[symbol] = cls
+        class_masks = list(classes)
+        #: Per-symbol membership masks (:func:`membership_masks`); the
+        #: symbols of one class share one int.
+        self.symbol_masks = [class_masks[cls] for cls in self.symbol_class]
         #: Per-STE successor masks.
         self.succ_masks = [bit_mask(dsts) for dsts in lowered.succ]
         #: ALL_INPUT STEs, enabled on every symbol.
@@ -202,16 +216,27 @@ class SubsetMasks:
         self.report_mask = bit_mask(
             i for i, rank in enumerate(self.report_rank) if rank >= 0
         )
-        classes: dict[int, list[int]] = {}
-        for symbol, mask in enumerate(self.symbol_masks):
-            classes.setdefault(mask, []).append(symbol)
-        #: The symbols of each alphabet class, numbered by first symbol.
-        self.classes = [tuple(symbols) for symbols in classes.values()]
-        #: Symbol -> alphabet class.
-        self.symbol_class = [0] * 256
-        for cls, symbols in enumerate(self.classes):
-            for symbol in symbols:
-                self.symbol_class[symbol] = cls
+
+    def slice(self, lo: int, hi: int) -> "SubsetMasks":
+        """The masks of STEs ``lo..hi-1``, renumbered from 0.
+
+        Edges that leave the interval are dropped, so the slice steps
+        alone only when none does (a union of connected components).  It
+        keeps this model's report ranks and alphabet classes, which refine
+        its own.
+        """
+        width = (1 << (hi - lo)) - 1
+        part = SubsetMasks.__new__(SubsetMasks)
+        per_class = [(self.symbol_masks[symbols[0]] >> lo) & width for symbols in self.classes]
+        part.symbol_masks = [per_class[cls] for cls in self.symbol_class]
+        part.succ_masks = [(mask >> lo) & width for mask in self.succ_masks[lo:hi]]
+        part.all_input = (self.all_input >> lo) & width
+        part.initial = (self.initial >> lo) & width
+        part.report_rank = self.report_rank[lo:hi]
+        part.report_mask = (self.report_mask >> lo) & width
+        part.symbol_class = self.symbol_class
+        part.classes = self.classes
+        return part
 
     def step(self, subset: int, symbol: int) -> tuple[list[int], int]:
         """One subset-construction step on ``symbol``.

@@ -21,6 +21,7 @@ nothing beyond the shared literal scan.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from repro import telemetry
@@ -258,7 +259,10 @@ class PrefilterScanner:
                 record(rule.engine.run(data[start:end]).reports.rebased(start))
         reports = ReportBatch.from_rows(rows.values())
         if scan_t0 is not None:
-            telemetry.record_scan("prefilter", scan_t0, len(data), len(reports))
+            # Only a timer: the rule engines' streams already count the
+            # symbols they scan and the reports they emit under
+            # ``engine.symbols.*`` / ``engine.reports.*``.
+            telemetry.observe("prefilter.scan", time.perf_counter() - scan_t0)
             telemetry.incr("prefilter.factor_hits", n_factor_hits)
             telemetry.incr("prefilter.rules_confirmed", rules_confirmed)
             telemetry.incr("prefilter.rules_gated_off", rules_gated_off)

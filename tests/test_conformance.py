@@ -53,11 +53,23 @@ class TestGenerator:
         """Over a seed range the generator must hit every targeted corner."""
         saw_counter = saw_all_input = saw_reporting_start = False
         saw_dead = saw_empty_input = saw_out_of_alphabet = saw_empty_charset = False
+        saw_merged = saw_mixed_counters = False
         for seed in range(150):
             case = random_case(seed)
             a = case.automaton
             if any(isinstance(e, CounterElement) for e in a.elements()):
                 saw_counter = True
+            # Merged parts are the unprefixed first part and g1., g2., ...
+            parts = {e.ident.split(".")[0] if "." in e.ident else "" for e in a.elements()}
+            if len(parts) >= 2:
+                saw_merged = True
+                with_counters = {
+                    e.ident.split(".")[0] if "." in e.ident else ""
+                    for e in a.elements()
+                    if isinstance(e, CounterElement)
+                }
+                if with_counters and with_counters != parts:
+                    saw_mixed_counters = True
             for ste in a.stes():
                 if ste.start is StartMode.ALL_INPUT:
                     saw_all_input = True
@@ -80,6 +92,8 @@ class TestGenerator:
                 saw_empty_input,
                 saw_out_of_alphabet,
                 saw_empty_charset,
+                saw_merged,
+                saw_mixed_counters,
             ]
         )
 

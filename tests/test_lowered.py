@@ -89,3 +89,40 @@ def test_subset_masks_step_and_alphabet_classes():
     assert masks.step(0b10, ord("b")) == ([], 0b101001)
     assert masks.step(0b101000, ord("q")) == masks.step(0b101000, ord("p")) == ([3], 0b1)
     assert masks.step(0b101000, ord("z")) == ([], 0b1)
+
+
+def test_subset_masks_slice_steps_each_group_alone():
+    """A group's slice steps its part of any subset exactly as the whole
+    model does, with the whole model's report ranks and classes."""
+    import random
+
+    from repro.engines.bitset import _group_bounds
+    from repro.regex import compile_regex
+
+    automaton = Automaton.union(
+        [
+            compile_regex("ab[cd]+", report_code=1),
+            compile_regex("(b|cd)a", report_code=2),
+            compile_regex("[a-d]{2}d", report_code=3),
+        ]
+    )
+    lowered = Lowered(automaton)
+    masks = SubsetMasks(lowered)
+    bounds = _group_bounds(lowered.succ)
+    assert len(bounds) == 3 and bounds[-1][1] == lowered.n
+    slices = [masks.slice(lo, hi) for lo, hi in bounds]
+    for part in slices:
+        assert part.classes is masks.classes
+        assert part.symbol_class is masks.symbol_class
+    rng = random.Random(0)
+    for _ in range(200):
+        subset = rng.getrandbits(lowered.n) | masks.all_input
+        symbol = rng.choice(b"abcdz")
+        ranks, nxt = masks.step(subset, symbol)
+        parts_ranks, parts_nxt = [], 0
+        for (lo, hi), part in zip(bounds, slices):
+            part_ranks, part_nxt = part.step((subset >> lo) & ((1 << (hi - lo)) - 1), symbol)
+            parts_ranks += part_ranks
+            parts_nxt |= part_nxt << lo
+        assert sorted(parts_ranks) == sorted(ranks)
+        assert parts_nxt == nxt

@@ -88,10 +88,6 @@ def test_no_unused_imports_in_src():
 
 #: Calls that belong to the stream frame, ``repro.engines.base.Stream.feed``.
 _FRAME_CALLS = {"check_deadline", "record_scan"}
-#: Frame calls allowed outside base.py: ``PrefilterScanner.scan`` is a
-#: one-shot multi-rule scan, not a stream, and records its own
-#: ``engine.scan.prefilter`` (its rule engines' streams use the frame).
-_FRAME_CALL_EXEMPT = {"prefilter.py": {"record_scan"}}
 
 
 def test_engine_streams_share_the_feed_frame():
@@ -106,13 +102,12 @@ def test_engine_streams_share_the_feed_frame():
     for path in sorted((SRC / "engines").glob("*.py")):
         if path.name == "base.py":
             continue
-        allowed = _FRAME_CALL_EXEMPT.get(path.name, set())
         for node in ast.walk(ast.parse(path.read_text())):
             if not isinstance(node, ast.Call):
                 continue
             func = node.func
             name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", "")
-            if name in _FRAME_CALLS - allowed:
+            if name in _FRAME_CALLS:
                 problems.append(f"{path.relative_to(REPO)}:{node.lineno}: calls {name}")
     automaton = Automaton()
     automaton.add_ste("s", CharSet.from_chars("a"), start=StartMode.ALL_INPUT, report=True)
