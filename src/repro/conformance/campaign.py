@@ -16,7 +16,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from repro import telemetry
-from repro.conformance.generator import CaseConfig, random_case
+from repro.conformance.generator import GENERATOR_VERSION, CaseConfig, random_case
 from repro.conformance.runner import Divergence, run_case
 from repro.conformance.shrink import save_repro, shrink_case
 
@@ -101,6 +101,7 @@ def run_campaign(
         "start_seed": start_seed,
         "bit_level_every": _BIT_LEVEL_EVERY,
         "shrink": shrink,
+        "generator": GENERATOR_VERSION,
     }
     ckpt = (
         SweepCheckpoint.open(checkpoint, meta, resume=resume) if checkpoint else None
