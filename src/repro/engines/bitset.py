@@ -49,17 +49,25 @@ symbol, whichever walk it ran, against the cutovers below:
   into *groups*: the connected components of the successor graph, merged
   where their index ranges overlap, so each group is one index interval
   ``[lo, hi)`` that no edge leaves.  The stream holds one memoised subset
-  per group, and a symbol costs one alphabet-class lookup, then one row
-  lookup and one matched-count lookup per group: a lazy DFA per group,
-  built from each group's :meth:`~repro.engines.lowered.SubsetMasks.slice`.
-  Warm, a symbol costs about 700 ns plus 140 ns per group, so the walk
-  is entered above ``2 + 0.7 * groups`` matched states per symbol: the
-  mesh automata (about 140 matched states per symbol, 20 groups), never
-  a rule set with hundreds of mostly idle components (Snort: under one
-  matched state per symbol, about 180 groups), nor five DNA motifs with
-  wildcard runs (3-5 matched states per symbol, 5 groups), where the
-  per-bit walk is the faster one.  A cold (state, class) cell is the
-  per-bit walk on the group's slice only.
+  per group: a lazy DFA per group, built from each group's
+  :meth:`~repro.engines.lowered.SubsetMasks.slice`.  The memo's tables
+  are laid out per alphabet class and indexed by state id, so a symbol
+  costs one class lookup, then two ``map`` calls over the group states,
+  run in C: one for the next states and one for the matched counts.
+  Warm, that is about 1.2 µs per symbol on either 10-group half of the
+  ``dna_mesh`` automaton, against 8.8 µs (Hamming) and 52 µs
+  (Levenshtein) on the per-bit walk (``bench_results/BENCH_engines.json``).
+  On merged copies of five DNA motifs, the memo walk costs 0.97 times the
+  per-bit walk at 5 groups (3.7 matched states per symbol), 0.72 at 20
+  and 0.45 at 80 (59 matched), a crossover near ``2 + 0.3 * groups``
+  matched states per symbol.  The walk is entered above
+  ``4 + 0.3 * groups``, which keeps a margin where the two walks cost
+  the same: the mesh automata enter (about 140 matched states per
+  symbol, 20 groups), while a rule set with hundreds of mostly idle
+  components never does (Snort: under one matched state per symbol,
+  about 180 groups), nor do five DNA motifs with wildcard runs (3-5
+  matched states per symbol, 5 groups).  A cold (state, class) cell is
+  the per-bit walk on the group's slice only.
 * **per-byte walk** (the dense walk of automata with counters, whose
   counter state cannot be memoised, and of an engine whose memo is full)
   — visit the mask a byte-word at a time (skipping zero words) and OR a
@@ -84,10 +92,11 @@ rung a lazy-DFA memo trip falls to.
 hands one engine to every thread, so all memo growth (interning, cell
 writes) happens under the memo's lock, and the scan loop is lock-free: it
 reads published cells only, and an unset cell (None) sends it through
-:meth:`_GroupMemo.compute`, which re-checks under the lock.  A cell's
-matched count is stored before its transition, and a reporting cell's
-transition is stored with its report ranks, so a reader that sees a
-transition also sees what the step reported.
+:meth:`_GroupMemo.compute`, which re-checks under the lock.  Interning a
+state appends its slot to every class's tables before its id is
+published.  A cell's matched count is stored before its transition, and
+a reporting cell's transition is stored with its report ranks, so a
+reader that sees a transition also sees what the step reported.
 
 Per-state successor bitmasks are inherently O(n^2) bits in the worst case,
 so construction refuses automata above ``max_states`` (default 65536) with
@@ -99,7 +108,6 @@ for the multi-million-state full-scale builds.
 from __future__ import annotations
 
 import threading
-from array import array
 
 from repro import telemetry
 from repro.core.automaton import Automaton
@@ -150,11 +158,13 @@ def _group_bounds(succ: list[tuple[int, ...]]) -> list[tuple[int, int]]:
 class _GroupMemo:
     """One engine's memo walk: a lazy DFA over each group's subsets.
 
-    A state is one group's subset, and its id is ``base``, the index of
-    its first cell; cell ``base + c`` is its step on alphabet class ``c``.
-    :attr:`rows` holds, per cell, the next state's base, or None while the
-    cell is unset or when the step reports: a reporting cell's next base
-    and report ranks are in :attr:`emits`.  All groups share the engine's
+    A state is one group's subset, interned to a state id (ids are unique
+    over all groups).  Each alphabet class ``c`` has its own tables,
+    indexed by state id, so the walk steps every group with one C-level
+    ``map`` per symbol: ``rows[c][s]`` is the next state id, or None while
+    the cell is unset or when the step reports (a reporting cell's next id
+    and report ranks are in ``emits[c][s]``), and ``matched[c][s]`` is the
+    cell's matched non-start count.  All groups share the engine's
     alphabet classes.
     """
 
@@ -162,40 +172,48 @@ class _GroupMemo:
         self.masks = masks
         self.bounds = bounds
         self.symbol_class = masks.symbol_class
-        self.n_classes = nc = len(masks.classes)
+        nc = len(masks.classes)
         self.lock = threading.Lock()
         #: Per group: its :meth:`SubsetMasks.slice`, sliced on first compute.
         self.group_masks: list[SubsetMasks | None] = [None] * len(bounds)
-        #: Per group: subset -> state base.
+        #: Per group: subset -> state id.
         self.interned: list[dict[int, int]] = [{} for _ in bounds]
-        #: State base // n_classes -> subset.
+        #: State id -> subset.
         self.subsets: list[int] = []
-        #: Cell -> next state's base; None if unset or reporting.
-        self.rows: list[int | None] = []
-        #: Cell -> matched non-start STEs on that step.
-        self.matched = array("H" if max(hi - lo for lo, hi in bounds) < 1 << 16 else "I")
-        #: Reporting cell -> next state's base and report-table ranks.
-        self.emits: dict[int, tuple[int, tuple[int, ...]]] = {}
+        #: Per class: state id -> next state id; None if unset or reporting.
+        self.rows: list[list[int | None]] = [[] for _ in range(nc)]
+        #: Per class: state id -> matched non-start STEs on that step.
+        self.matched: list[list[int]] = [[] for _ in range(nc)]
+        #: Per class: reporting state id -> next state id and report ranks.
+        self.emits: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(nc)]
         #: Set once a compute was refused at :data:`MEMO_CELLS`.
         self.full = False
-        self._unset_row = [None] * nc
-        self._zero_row = array(self.matched.typecode, [0] * nc)
+
+    def cells(self) -> tuple[int, int, int]:
+        """The memo's allocated, filled and reporting cell counts (filled
+        counts the reporting cells too)."""
+        allocated = len(self.subsets) * len(self.rows)
+        reporting = sum(map(len, self.emits))
+        unset = sum(row.count(None) for row in self.rows) - reporting
+        return allocated, allocated - unset, reporting
 
     def _intern(self, group: int, subset: int) -> int | None:
-        """The base of ``subset`` in ``group``; None at the cap.  The caller
-        holds :attr:`lock`."""
+        """The state id of ``subset`` in ``group``; None at the cap.  The
+        caller holds :attr:`lock`."""
         interned = self.interned[group]
-        base = interned.get(subset)
-        if base is None:
-            base = len(self.rows)
-            if base + self.n_classes > MEMO_CELLS:
+        sid = interned.get(subset)
+        if sid is None:
+            sid = len(self.subsets)
+            if (sid + 1) * len(self.rows) > MEMO_CELLS:
                 self.full = True
                 return None
+            for row in self.rows:
+                row.append(None)
+            for counts in self.matched:
+                counts.append(0)
             self.subsets.append(subset)
-            self.matched.extend(self._zero_row)
-            self.rows.extend(self._unset_row)
-            interned[subset] = base
-        return base
+            interned[subset] = sid
+        return sid
 
     def enter(self, rest: int) -> list[int] | None:
         """The group states of the non-start enabled mask ``rest``; None
@@ -204,58 +222,56 @@ class _GroupMemo:
         states = []
         with self.lock:
             for group, (lo, hi) in enumerate(self.bounds):
-                base = self._intern(group, (full >> lo) & ((1 << (hi - lo)) - 1))
-                if base is None:
+                sid = self._intern(group, (full >> lo) & ((1 << (hi - lo)) - 1))
+                if sid is None:
                     return None
-                states.append(base)
+                states.append(sid)
         return states
 
     def leave(self, states: list[int]) -> int:
         """The non-start enabled mask of the group states ``states``."""
         subsets = self.subsets
-        nc = self.n_classes
         rest = 0
-        for (lo, _hi), base in zip(self.bounds, states):
-            rest |= subsets[base // nc] << lo
+        for (lo, _hi), sid in zip(self.bounds, states):
+            rest |= subsets[sid] << lo
         return rest & ~self.masks.all_input
 
     def enabled(self, states: list[int]) -> int:
         """Enabled STEs (ALL_INPUT included) in the group states ``states``."""
-        subsets = self.subsets
-        nc = self.n_classes
-        return sum([subsets[base // nc].bit_count() for base in states])
+        return sum(map(int.bit_count, map(self.subsets.__getitem__, states)))
 
-    def compute(self, group: int, cell: int) -> tuple[int, tuple[int, ...]] | None:
-        """Fill one cell of ``group``: its next state's base and report
-        ranks, or None if the next state would go over :data:`MEMO_CELLS`."""
+    def compute(self, group: int, sid: int, c: int) -> tuple[int, tuple[int, ...]] | None:
+        """Fill the cell of state ``sid`` (in ``group``) on class ``c``: its
+        next state id and report ranks, or None if the next state would go
+        over :data:`MEMO_CELLS`."""
         with self.lock:
             # Another thread may have filled the cell since the lock-free
             # read of None.
-            value = self.rows[cell]
+            value = self.rows[c][sid]
             if value is not None:
                 return value, ()
-            hit = self.emits.get(cell)
+            hit = self.emits[c].get(sid)
             if hit is not None:
                 return hit
             masks = self.group_masks[group]
             if masks is None:
                 masks = self.group_masks[group] = self.masks.slice(*self.bounds[group])
-            subset = self.subsets[cell // self.n_classes]
-            symbol = masks.classes[cell % self.n_classes][0]
+            subset = self.subsets[sid]
+            symbol = masks.classes[c][0]
             ranks, nxt = masks.step(subset, symbol)
             value = self._intern(group, nxt)
             if value is None:
                 return None
-            self.matched[cell] = (
+            self.matched[c][sid] = (
                 subset & masks.symbol_masks[symbol] & ~masks.all_input
             ).bit_count()
             # Publish last: a lock-free reader that sees the transition
             # also sees the cell's matched count.  A reporting cell keeps
             # None in :attr:`rows`, so readers always look it up here.
             if ranks:
-                hit = self.emits[cell] = (value, tuple(ranks))
+                hit = self.emits[c][sid] = (value, tuple(ranks))
                 return hit
-            self.rows[cell] = value
+            self.rows[c][sid] = value
             return value, ()
 
 
@@ -349,7 +365,7 @@ class BitsetEngine(Engine):
         if n and not self._has_counters:
             bounds = _group_bounds(lowered.succ)
             self._memo = _GroupMemo(masks, bounds)
-            self._memo_cutover = 2 + 0.7 * len(bounds)
+            self._memo_cutover = 4 + 0.3 * len(bounds)
         telemetry.record_compile(self.label, compile_t0, n)
 
     # -- helpers -----------------------------------------------------------
@@ -459,8 +475,8 @@ class BitsetStream(Stream):
         (and appends the offset's merged report group) before stepping.
         """
         memo = self._engine._memo
-        rows = memo.rows
-        matched = memo.matched
+        row_get = [row.__getitem__ for row in memo.rows]
+        matched_get = [counts.__getitem__ for counts in memo.matched]
         sym_class = memo.symbol_class
         fill = self._memo_fill
         enabled = memo.enabled
@@ -469,13 +485,13 @@ class BitsetStream(Stream):
         pop = 0
         for index in range(pos, end):
             c = sym_class[data[index]]
-            nxt = [rows[b + c] for b in states]
+            nxt = [*map(row_get[c], states)]
             if None in nxt and not fill(states, c, nxt, base + index, reports):
                 self._states = states
                 return index, pop
             if active is not None:
                 active.append(enabled(states))
-            pop += sum([matched[b + c] for b in states])
+            pop += sum(map(matched_get[c], states))
             states = nxt
         self._states = states
         return end, pop
@@ -485,14 +501,14 @@ class BitsetStream(Stream):
         class ``c`` at ``offset``, and append the offset's merged report
         group.  False, with nothing changed, if the memo is full."""
         memo = self._engine._memo
-        emits = memo.emits
+        emits = memo.emits[c]
         hits = []
         for group, value in enumerate(nxt):
             if value is None:
-                cell = states[group] + c
-                hit = emits.get(cell)
+                sid = states[group]
+                hit = emits.get(sid)
                 if hit is None:
-                    hit = memo.compute(group, cell)
+                    hit = memo.compute(group, sid, c)
                     if hit is None:
                         return False
                 hits.append((group, hit))

@@ -226,11 +226,10 @@ class TestSharedEngineThreadSafety:
     def test_bitset_memo_publishes_cell_before_transition(self):
         """The lock-free memo walk trusts a published transition to mean
         the cell's matched count is stored, and reads a reporting cell's
-        transition together with its report ranks: every row write must
-        follow the cell's matched-count write, and no reporting cell ever
-        gets a row."""
-        from array import array
-
+        transition together with its report ranks: every write to a
+        class's row table must follow the cell's write to that class's
+        matched-count table, no reporting cell ever gets a row, and each
+        cell is written once."""
         from repro.inputs.dna import random_dna
 
         automaton = dna_patterns()
@@ -238,32 +237,35 @@ class TestSharedEngineThreadSafety:
         memo = engine._memo
         events = []
 
-        class CheckedRows(list):
-            def __setitem__(self, cell, value):
-                events.append(("row", cell))
-                super().__setitem__(cell, value)
+        class Checked(list):
+            """One class's row or matched-count table, logging its writes."""
 
-        class CheckedMatched(array):
-            def __setitem__(self, cell, value):
-                events.append(("matched", cell))
-                super().__setitem__(cell, value)
+            def __init__(self, kind, c, table):
+                super().__init__(table)
+                self.kind, self.c = kind, c
 
-        memo.rows = CheckedRows(memo.rows)
-        memo.matched = CheckedMatched(memo.matched.typecode, memo.matched)
+            def __setitem__(self, sid, value):
+                events.append((self.kind, self.c, sid))
+                super().__setitem__(sid, value)
+
+        memo.rows = [Checked("row", c, row) for c, row in enumerate(memo.rows)]
+        memo.matched = [Checked("matched", c, m) for c, m in enumerate(memo.matched)]
         engine._memo_cutover = -1
         stream = engine.stream()
         stream._set_walk("memo")
         data = random_dna(2_000, seed=5)
         assert stream.feed(data) == VectorEngine(automaton).run(data).reports
-        rows = [cell for kind, cell in events if kind == "row"]
-        assert rows and memo.emits
+        rows = [cell for kind, *cell in events if kind == "row"]
+        _, filled, reporting = memo.cells()
+        assert rows and reporting and filled == len(rows) + reporting
+        assert sum(kind == "matched" for kind, _, _ in events) == filled
         stored = set()
-        for kind, cell in events:
+        for kind, c, sid in events:
             if kind == "matched":
-                stored.add(cell)
+                stored.add((c, sid))
             else:
-                assert cell in stored
-                assert cell not in memo.emits
+                assert (c, sid) in stored
+                assert sid not in memo.emits[c]
 
     def test_lazydfa_sets_emit_bit_before_publishing_transition(self):
         """The lock-free scan loop trusts a published transition to mean its

@@ -171,6 +171,81 @@ def test_bitset_memo_walk_agrees(automaton, data, chunk):
     assert stream.active_per_cycle == ref.active_per_cycle
 
 
+def _matched_per_walk(stream):
+    """Spy on ``stream``'s walks; the returned list sums the matched
+    non-start states each walk reports."""
+    total = [0]
+    memo_scan, mask_scan = stream._memo_scan, stream._mask_scan
+
+    def memo_spy(*args):
+        pos, matched = memo_scan(*args)
+        total[0] += matched
+        return pos, matched
+
+    def mask_spy(*args):
+        matched = mask_scan(*args)
+        total[0] += matched
+        return matched
+
+    stream._memo_scan, stream._mask_scan = memo_spy, mask_spy
+    return total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    automaton=any_automata(),
+    data=inputs,
+    repeat=st.integers(1, 40),
+    chunk=st.sampled_from([1, 2, 3, 7, 511, 513, 4096]),
+    record_active=st.booleans(),
+    room=st.floats(0, 1),
+)
+def test_bitset_memo_walk_edges(automaton, data, repeat, chunk, record_active, room):
+    """The memo walk at its edges agrees with the reference engine: 1-symbol
+    and odd-length chunks across block boundaries, ``record_active`` on and
+    off, and a :data:`MEMO_CELLS` cap anywhere from too small to enter to
+    just enough, so the walk trips at any symbol of a block and finishes
+    it per-byte.  Every walk sums the same matched count as the per-bit
+    walk alone."""
+    from unittest import mock
+
+    from repro.engines import bitset
+
+    data *= repeat
+    ref = ReferenceEngine(automaton).run(data, record_active=True)
+    sparse = BitsetEngine(automaton)
+    sparse._memo_cutover = sparse._block_cutover = float("inf")
+    stream = sparse.stream()
+    per_bit = _matched_per_walk(stream)
+    stream.feed(data)
+    assert stream._walk == "bit"
+
+    grown = BitsetEngine(automaton)
+    grown._memo_cutover = -1
+    stream = grown.stream()
+    stream._set_walk("memo")
+    stream.feed(data)
+    needed = grown._memo.cells()[0]  # every cell the whole input reaches
+    classes = len(grown._memo.masks.classes)
+    groups = len(grown._memo.bounds)
+    cap = classes * int(groups + room * (needed // classes - groups))
+    with mock.patch.object(bitset, "MEMO_CELLS", cap):
+        engine = BitsetEngine(automaton)
+        engine._memo_cutover = -1
+        stream = engine.stream(record_active=record_active)
+        matched = _matched_per_walk(stream)
+        stream._set_walk("memo")
+        batches = [stream.feed(data[i : i + chunk]) for i in range(0, len(data), chunk)]
+    assert engine._memo.full == (cap < needed)
+    assert engine._memo.cells()[0] <= cap
+    assert (stream._walk == "memo") == (cap >= needed)
+    assert ReportBatch.concat(batches) == ref.reports
+    assert stream.offset == ref.cycles
+    if record_active:
+        assert stream.active_per_cycle == ref.active_per_cycle
+    assert matched == per_bit
+
+
 def _dense_mesh(counter: bool) -> Automaton:
     """16 states, 15 of them matching every ``a`` once started; with
     ``counter``, one feeds a counter that never fires on the inputs here
@@ -224,8 +299,7 @@ def _check_walk_switches(a: Automaton, dense_walk: str) -> None:
 
     def filled():
         memo = engine._memo
-        cells = 0 if memo is None else len(memo.rows) - memo.rows.count(None)
-        return len(engine._block_lut) + cells + (0 if memo is None else len(memo.emits))
+        return len(engine._block_lut) + (0 if memo is None else memo.cells()[1])
 
     def spy(*args):
         walk = stream._walk
@@ -339,7 +413,7 @@ def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
     expected = expected.run(read, record_active=True)
     grown = BitsetEngine(mesh)
     grown.run(read)
-    cells = len(grown._memo.rows)
+    cells = grown._memo.cells()[0]
     monkeypatch.setattr(bitset, "MEMO_CELLS", cells // 2)
     engine = BitsetEngine(mesh)
     # The mesh's 140 matched states per symbol are under the per-byte
@@ -361,7 +435,7 @@ def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
     with guard_scope(ScanGuard(ScanBudget(memo_bytes=1))):
         reports = stream.feed(read)
     assert engine._memo.full
-    assert len(engine._memo.rows) <= cells // 2
+    assert engine._memo.cells()[0] <= cells // 2
     trip = walks.index(["memo", "byte"])  # entered, then tripped mid-block
     assert walks[:trip] == [["bit", "bit"]] + [["memo", None]] * (trip - 1)
     assert walks[trip + 1 :] == [["byte", "byte"]] * (len(walks) - trip - 1)
