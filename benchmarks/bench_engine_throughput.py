@@ -74,7 +74,7 @@ def _walk_costs(automaton, data) -> dict[str, float]:
     costs = {}
     for walk, cutover in (("memo", -1.0), ("bit", float("inf"))):
         engine = BitsetEngine(automaton)
-        engine._memo_cutover = engine._block_cutover = cutover
+        engine._memo_cutover = cutover
         best = float("inf")
         for _ in range(REPEATS + 1):  # the first run warms the memo
             stream = engine.stream()

@@ -11,9 +11,9 @@ small rulesets.  Two classic size levers are implemented:
 * **Mealy minimization** — partition refinement over (emission, successor)
   signatures collapses equivalent subset states.
 
-Subset construction and the symbol classes come from the automaton's
-:class:`~repro.engines.lowered.SubsetMasks`, the same big-int subset step
-the lazy DFA memoises.
+Subset construction is a :class:`~repro.engines.lowered.SubsetMemo`, the
+lazy DFA's memo, with every cell filled; the symbol classes are its
+:class:`~repro.engines.lowered.SubsetMasks`' alphabet classes.
 
 Report semantics match the engines': taking a transition that corresponds
 to a matching reporting STE emits that STE's report code at the current
@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.core.automaton import Automaton
 from repro.engines.base import ReportBatch, RunResult
-from repro.engines.lowered import Lowered, SubsetMasks
+from repro.engines.lowered import Lowered, SubsetMasks, SubsetMemo
 from repro.errors import CapacityError, EngineError
 
 __all__ = ["DFA"]
@@ -58,40 +58,26 @@ class DFA:
             raise EngineError("DFA compilation does not support counters")
         lowered = Lowered(automaton)
         masks = SubsetMasks(lowered)
-        entries = lowered.reports.entries
+        memo = SubsetMemo(masks, lowered.reports, [(0, lowered.n)], max_states)
         # Alphabet compression: one column per class of symbols with equal
-        # membership masks, stepped on its first symbol.
-        class_rep = [symbols[0] for symbols in masks.classes]
-        n_classes = len(class_rep)
-
-        set_to_id: dict[int, int] = {masks.initial: 0}
-        worklist = [masks.initial]
-        rows: list[np.ndarray] = []
+        # membership masks.  States are numbered in the order first reached.
+        n_classes = len(masks.classes)
+        rows: list[list[int]] = []
         emissions: list[dict[int, frozenset]] = []
-        while worklist:
-            subset = worklist.pop()
-            sid = set_to_id[subset]
-            while len(rows) <= sid:
-                rows.append(np.zeros(n_classes, dtype=np.int64))
-                emissions.append({})
-            row = rows[sid]
-            emit = emissions[sid]
-            for cls_index, symbol in enumerate(class_rep):
-                ranks, nxt = masks.step(subset, symbol)
-                target = set_to_id.get(nxt)
-                if target is None:
-                    if len(set_to_id) >= max_states:
-                        raise CapacityError(
-                            f"DFA exceeded {max_states} states during "
-                            "subset construction"
-                        )
-                    target = len(set_to_id)
-                    set_to_id[nxt] = target
-                    worklist.append(nxt)
-                row[cls_index] = target
-                if ranks:
-                    emit[cls_index] = frozenset(entries[rank][1] for rank in ranks)
-        transitions = np.vstack(rows) if rows else np.zeros((1, n_classes), dtype=np.int64)
+        memo.enter(masks.initial)
+        while len(rows) < len(memo.subsets):
+            cells = [memo.compute(0, len(rows), c) for c in range(n_classes)]
+            if None in cells:
+                break
+            rows.append([target for target, _group in cells])
+            emissions.append({
+                c: frozenset(code for _ident, code in group)
+                for c, (_target, group) in enumerate(cells)
+                if group
+            })
+        if memo.full:
+            raise CapacityError(f"DFA exceeded {max_states} states during subset construction")
+        transitions = np.array(rows, dtype=np.int64)
         return cls(
             transitions, emissions, 0, np.asarray(masks.symbol_class, dtype=np.int64)
         )

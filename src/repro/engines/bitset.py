@@ -37,25 +37,24 @@ not:
 **Walks.**  The shared feed frame (:class:`~repro.engines.base.Stream`)
 calls ``BitsetStream._scan`` once per block of
 :data:`~repro.resilience.guards.GUARD_BLOCK` (512) symbols, and the block
-runs one of three walks.  All three count the matched non-start states,
-and each block picks the next block's walk from its own count per
-symbol, whichever walk it ran, against the cutovers below:
+runs one of two walks.  Both count the matched non-start states, and each
+block picks the next block's walk from its own count per symbol,
+whichever walk it ran, against the memo walk's cutover:
 
-* **per-bit walk** (the sparse walk) — visit the matched non-start bits
-  one at a time (``m & -m``) and OR that state's successor mask; cost
-  about 300 ns plus 200-500 ns per matched bit (200 ns on 44- to
-  704-STE automata, 490 ns on the 3,209-STE mesh).
+* **per-bit walk** (the sparse walk, and the only walk of automata with
+  counters, whose counter state cannot be memoised) — visit the matched
+  non-start bits one at a time (``m & -m``) and OR that state's
+  successor mask; cost about 300 ns plus 200-500 ns per matched bit
+  (200 ns on 44- to 704-STE automata, 490 ns on the 3,209-STE mesh).
 * **memo walk** (the dense walk of counter-free automata) — the STEs split
   into *groups*: the connected components of the successor graph, merged
   where their index ranges overlap, so each group is one index interval
-  ``[lo, hi)`` that no edge leaves.  The stream holds one memoised subset
-  per group: a lazy DFA per group, built from each group's
-  :meth:`~repro.engines.lowered.SubsetMasks.slice`.  The memo's tables
-  are laid out per alphabet class and indexed by state id, so a symbol
+  ``[lo, hi)`` that no edge leaves.  The stream holds one state per group
+  of the engine's :class:`~repro.engines.lowered.SubsetMemo`, so a symbol
   costs one class lookup, then two ``map`` calls over the group states,
   run in C: one for the next states and one for the matched counts.
-  Warm, that is about 1.2 µs per symbol on either 10-group half of the
-  ``dna_mesh`` automaton, against 8.8 µs (Hamming) and 52 µs
+  Warm, that is about 1.3 µs per symbol on either 10-group half of the
+  ``dna_mesh`` automaton, against 9.5 µs (Hamming) and 45 µs
   (Levenshtein) on the per-bit walk (``bench_results/BENCH_engines.json``).
   On merged copies of five DNA motifs, the memo walk costs 0.97 times the
   per-bit walk at 5 groups (3.7 matched states per symbol), 0.72 at 20
@@ -67,36 +66,21 @@ symbol, whichever walk it ran, against the cutovers below:
   components never does (Snort: under one matched state per symbol,
   about 180 groups), nor do five DNA motifs with wildcard runs (3-5
   matched states per symbol, 5 groups).  A cold (state, class) cell is
-  the per-bit walk on the group's slice only.
-* **per-byte walk** (the dense walk of automata with counters, whose
-  counter state cannot be memoised, and of an engine whose memo is full)
-  — visit the mask a byte-word at a time (skipping zero words) and OR a
-  lazily memoised per-(word, value) successor mask from :attr:`_block_lut`;
-  cost proportional to ``n/8`` independent of density.  It is entered
-  above ``n / 4`` (at least 4) matched states per symbol.
+  the per-bit walk on the group's slice only.  When several groups
+  report at one offset, their report groups merge in ident order.
 
 A stream starts on the per-bit walk, and its first block is split after
 :data:`_PROBE` (16) symbols, so it picks its walk from its own input
 early: the mesh runs the rest of its first block on the memo walk.
 
-**Memo cap.**  The memo never holds more than :data:`MEMO_CELLS`
-(state, class) cells over all groups.  A compute that would go over it
-leaves the cell unset: the stream turns its group subsets back into one
-mask and finishes the block on the per-byte walk, and from then on the
-engine's dense walk is the per-byte walk.  The memo is never flushed
-(other streams hold its state ids), a bitset scan never raises over it,
-and it is not charged to ``ScanBudget.memo_bytes``: this engine is the
-rung a lazy-DFA memo trip falls to.
-
-**Thread safety.**  The shared compile cache (:mod:`repro.engines.cache`)
-hands one engine to every thread, so all memo growth (interning, cell
-writes) happens under the memo's lock, and the scan loop is lock-free: it
-reads published cells only, and an unset cell (None) sends it through
-:meth:`_GroupMemo.compute`, which re-checks under the lock.  Interning a
-state appends its slot to every class's tables before its id is
-published.  A cell's matched count is stored before its transition, and
-a reporting cell's transition is stored with its report ranks, so a
-reader that sees a transition also sees what the step reported.
+**Memo cap.**  The engine caps its memo at ``MEMO_CELLS // classes``
+states (:data:`MEMO_CELLS` cells over all groups; the cap rules are in
+:class:`~repro.engines.lowered.SubsetMemo`).  At the cap the stream turns
+its group states back into one mask and finishes the block on the
+per-bit walk, and from then on the engine stays on the per-bit walk.  A
+bitset scan never raises over the memo, and it is not charged to
+``ScanBudget.memo_bytes``: this engine is the rung a lazy-DFA memo trip
+falls to.
 
 Per-state successor bitmasks are inherently O(n^2) bits in the worst case,
 so construction refuses automata above ``max_states`` (default 65536) with
@@ -107,24 +91,25 @@ for the multi-million-state full-scale builds.
 
 from __future__ import annotations
 
-import threading
+from itertools import chain
+from operator import itemgetter
 
 from repro import telemetry
 from repro.core.automaton import Automaton
 from repro.engines.base import Engine, Stream
-from repro.engines.lowered import Lowered, SubsetMasks, bit_mask, iter_bits
+from repro.engines.lowered import Lowered, SubsetMasks, SubsetMemo, bit_mask, iter_bits
 from repro.errors import CapacityError
 
 __all__ = ["BitsetEngine", "BitsetStream", "MEMO_CELLS"]
 
 #: Cap on the memo walk's (state, alphabet class) cells, summed over every
 #: group of one engine.  The seed-3 ``dna_mesh`` automaton needs about
-#: 10.6k states x 5 classes; at the cap the engine's dense walk becomes the
-#: per-byte walk for good.
+#: 10.6k states x 5 classes; at the cap the engine stays on the per-bit
+#: walk for good.
 MEMO_CELLS = 1 << 20
 
-# The three successor walks a stream picks between, per block.
-_BIT, _BYTE, _MEMO = "bit", "byte", "memo"
+# The two successor walks a stream picks between, per block.
+_BIT, _MEMO = "bit", "memo"
 
 # Symbols a stream scans on the per-bit walk before it first picks a walk.
 _PROBE = 16
@@ -155,126 +140,6 @@ def _group_bounds(succ: list[tuple[int, ...]]) -> list[tuple[int, int]]:
     return bounds
 
 
-class _GroupMemo:
-    """One engine's memo walk: a lazy DFA over each group's subsets.
-
-    A state is one group's subset, interned to a state id (ids are unique
-    over all groups).  Each alphabet class ``c`` has its own tables,
-    indexed by state id, so the walk steps every group with one C-level
-    ``map`` per symbol: ``rows[c][s]`` is the next state id, or None while
-    the cell is unset or when the step reports (a reporting cell's next id
-    and report ranks are in ``emits[c][s]``), and ``matched[c][s]`` is the
-    cell's matched non-start count.  All groups share the engine's
-    alphabet classes.
-    """
-
-    def __init__(self, masks: SubsetMasks, bounds: list[tuple[int, int]]) -> None:
-        self.masks = masks
-        self.bounds = bounds
-        self.symbol_class = masks.symbol_class
-        nc = len(masks.classes)
-        self.lock = threading.Lock()
-        #: Per group: its :meth:`SubsetMasks.slice`, sliced on first compute.
-        self.group_masks: list[SubsetMasks | None] = [None] * len(bounds)
-        #: Per group: subset -> state id.
-        self.interned: list[dict[int, int]] = [{} for _ in bounds]
-        #: State id -> subset.
-        self.subsets: list[int] = []
-        #: Per class: state id -> next state id; None if unset or reporting.
-        self.rows: list[list[int | None]] = [[] for _ in range(nc)]
-        #: Per class: state id -> matched non-start STEs on that step.
-        self.matched: list[list[int]] = [[] for _ in range(nc)]
-        #: Per class: reporting state id -> next state id and report ranks.
-        self.emits: list[dict[int, tuple[int, tuple[int, ...]]]] = [{} for _ in range(nc)]
-        #: Set once a compute was refused at :data:`MEMO_CELLS`.
-        self.full = False
-
-    def cells(self) -> tuple[int, int, int]:
-        """The memo's allocated, filled and reporting cell counts (filled
-        counts the reporting cells too)."""
-        allocated = len(self.subsets) * len(self.rows)
-        reporting = sum(map(len, self.emits))
-        unset = sum(row.count(None) for row in self.rows) - reporting
-        return allocated, allocated - unset, reporting
-
-    def _intern(self, group: int, subset: int) -> int | None:
-        """The state id of ``subset`` in ``group``; None at the cap.  The
-        caller holds :attr:`lock`."""
-        interned = self.interned[group]
-        sid = interned.get(subset)
-        if sid is None:
-            sid = len(self.subsets)
-            if (sid + 1) * len(self.rows) > MEMO_CELLS:
-                self.full = True
-                return None
-            for row in self.rows:
-                row.append(None)
-            for counts in self.matched:
-                counts.append(0)
-            self.subsets.append(subset)
-            interned[subset] = sid
-        return sid
-
-    def enter(self, rest: int) -> list[int] | None:
-        """The group states of the non-start enabled mask ``rest``; None
-        if the memo is full."""
-        full = rest | self.masks.all_input
-        states = []
-        with self.lock:
-            for group, (lo, hi) in enumerate(self.bounds):
-                sid = self._intern(group, (full >> lo) & ((1 << (hi - lo)) - 1))
-                if sid is None:
-                    return None
-                states.append(sid)
-        return states
-
-    def leave(self, states: list[int]) -> int:
-        """The non-start enabled mask of the group states ``states``."""
-        subsets = self.subsets
-        rest = 0
-        for (lo, _hi), sid in zip(self.bounds, states):
-            rest |= subsets[sid] << lo
-        return rest & ~self.masks.all_input
-
-    def enabled(self, states: list[int]) -> int:
-        """Enabled STEs (ALL_INPUT included) in the group states ``states``."""
-        return sum(map(int.bit_count, map(self.subsets.__getitem__, states)))
-
-    def compute(self, group: int, sid: int, c: int) -> tuple[int, tuple[int, ...]] | None:
-        """Fill the cell of state ``sid`` (in ``group``) on class ``c``: its
-        next state id and report ranks, or None if the next state would go
-        over :data:`MEMO_CELLS`."""
-        with self.lock:
-            # Another thread may have filled the cell since the lock-free
-            # read of None.
-            value = self.rows[c][sid]
-            if value is not None:
-                return value, ()
-            hit = self.emits[c].get(sid)
-            if hit is not None:
-                return hit
-            masks = self.group_masks[group]
-            if masks is None:
-                masks = self.group_masks[group] = self.masks.slice(*self.bounds[group])
-            subset = self.subsets[sid]
-            symbol = masks.classes[c][0]
-            ranks, nxt = masks.step(subset, symbol)
-            value = self._intern(group, nxt)
-            if value is None:
-                return None
-            self.matched[c][sid] = (
-                subset & masks.symbol_masks[symbol] & ~masks.all_input
-            ).bit_count()
-            # Publish last: a lock-free reader that sees the transition
-            # also sees the cell's matched count.  A reporting cell keeps
-            # None in :attr:`rows`, so readers always look it up here.
-            if ranks:
-                hit = self.emits[c][sid] = (value, tuple(ranks))
-                return hit
-            self.rows[c][sid] = value
-            return value, ()
-
-
 class BitsetEngine(Engine):
     """Bit-parallel active-set simulation of a homogeneous automaton."""
 
@@ -292,8 +157,6 @@ class BitsetEngine(Engine):
                 "states (use VectorEngine or raise max_states)"
             )
         self._lowered = lowered
-        self._n = n
-        self._nbytes = (n + 7) // 8
 
         # Per-symbol membership, per-state successor (STE -> STE edges
         # only), report and start masks as big ints (bit i = state i), the
@@ -354,34 +217,18 @@ class BitsetEngine(Engine):
             for row in zip(charmask, [mask & not_all for mask in start_next], start_groups)
         ]
 
-        # Lazily memoised block-path LUT: (byte_position << 8 | byte_value)
-        # -> OR of the successor masks of those eight states.
-        self._block_lut: dict[int, int] = {}
-        # Density cutovers (matched non-start states per symbol) into the
-        # dense walks; see the module docstring.
-        self._block_cutover = max(4, n >> 2)
-        self._memo: _GroupMemo | None = None
+        # The memo walk's cutover (matched non-start states per symbol);
+        # see the module docstring.
+        self._memo: SubsetMemo | None = None
         self._memo_cutover = 0.0
         if n and not self._has_counters:
             bounds = _group_bounds(lowered.succ)
-            self._memo = _GroupMemo(masks, bounds)
+            cap = MEMO_CELLS // len(masks.classes)
+            self._memo = SubsetMemo(masks, lowered.reports, bounds, cap)
             self._memo_cutover = 4 + 0.3 * len(bounds)
         telemetry.record_compile(self.label, compile_t0, n)
 
     # -- helpers -----------------------------------------------------------
-
-    def _lut_entry(self, key: int) -> int:
-        """Build (and memoise) the successor-OR of one matched-mask byte."""
-        base = (key >> 8) << 3
-        byte = key & 0xFF
-        succ = self._succ_int
-        acc = 0
-        while byte:
-            low = byte & -byte
-            acc |= succ[base + low.bit_length() - 1]
-            byte ^= low
-        self._block_lut[key] = acc
-        return acc
 
     def _group(self, sym: int, hits: int, fired: list[int] | None):
         """The report group of one offset: start reporters on ``sym``, the
@@ -422,17 +269,18 @@ class BitsetStream(Stream):
     def _set_walk(self, walk: str) -> None:
         """Switch to ``walk``, converting the state between its mask and
         its group states; a memo walk the memo has no room for becomes
-        the per-byte walk."""
+        the per-bit walk."""
         if walk == self._walk:
             return
-        memo = self._engine._memo
+        engine = self._engine
+        memo = engine._memo
         if self._walk == _MEMO:
-            self._rest = memo.leave(self._states)
+            self._rest = memo.leave(self._states) & engine._not_all
             self._states = None
         if walk == _MEMO:
-            self._states = memo.enter(self._rest)
+            self._states = memo.enter(self._rest | memo.masks.all_input)
             if self._states is None:
-                walk = _BYTE
+                walk = _BIT
         self._walk = walk
 
     def _scan(self, data, pos, end, base, reports):
@@ -454,14 +302,16 @@ class BitsetStream(Stream):
         matched = 0
         if self._walk == _MEMO:
             pos, matched = self._memo_scan(data, pos, end, base, reports)
-            if pos < end:  # the memo is full: finish on the per-byte walk
-                self._set_walk(_BYTE)
+            if pos < end:  # the memo is full: finish on the per-bit walk
+                self._set_walk(_BIT)
         if pos < end:
             matched += self._mask_scan(data, pos, end, base, reports)
-        usable = memo is not None and not memo.full
-        cutover = engine._memo_cutover if usable else engine._block_cutover
-        if matched > cutover * (end - start):
-            self._set_walk(_MEMO if usable else _BYTE)
+        if (
+            memo is not None
+            and not memo.full
+            and matched > engine._memo_cutover * (end - start)
+        ):
+            self._set_walk(_MEMO)
         else:
             self._set_walk(_BIT)
         telemetry.incr("engine.matched_states.bitset", matched)
@@ -477,7 +327,7 @@ class BitsetStream(Stream):
         memo = self._engine._memo
         row_get = [row.__getitem__ for row in memo.rows]
         matched_get = [counts.__getitem__ for counts in memo.matched]
-        sym_class = memo.symbol_class
+        sym_class = memo.masks.symbol_class
         fill = self._memo_fill
         enabled = memo.enabled
         active = self.active_per_cycle
@@ -502,35 +352,38 @@ class BitsetStream(Stream):
         group.  False, with nothing changed, if the memo is full."""
         memo = self._engine._memo
         emits = memo.emits[c]
-        hits = []
+        cells = []
         for group, value in enumerate(nxt):
             if value is None:
                 sid = states[group]
-                hit = emits.get(sid)
-                if hit is None:
-                    hit = memo.compute(group, sid, c)
-                    if hit is None:
-                        return False
-                hits.append((group, hit))
-        ranks: list[int] = []
-        for group, (value, cell_ranks) in hits:
+                cell = emits.get(sid) or memo.compute(group, sid, c)
+                if cell is None:
+                    return False
+                cells.append((group, cell))
+        fired = []
+        for group, (value, report) in cells:
             nxt[group] = value
-            ranks += cell_ranks
-        if ranks:
+            if report:
+                fired.append(report)
+        if fired:
             reports.offsets.append(offset)
-            reports.groups.append(self._engine._lowered.reports.group(ranks))
+            # Groups hold distinct STEs, so the union in ident order is
+            # the ReportTable group of all their ranks.
+            reports.groups.append(
+                fired[0]
+                if len(fired) == 1
+                else tuple(sorted(chain.from_iterable(fired), key=itemgetter(0)))
+            )
         return True
 
     def _mask_scan(self, data, pos, end, base, reports):
-        """Scan ``data[pos:end]`` on the per-bit or per-byte walk; return
-        the matched non-start count.
+        """Scan ``data[pos:end]`` on the per-bit walk; return the matched
+        non-start count.
 
         Per symbol: record popcount, AND with the symbol mask, OR the
         matched bits' successor masks into the precomputed start-successor
         mask, apply the (rare) counter machinery, then append the offset's
-        report group.  The matched bits are walked per byte through
-        :attr:`BitsetEngine._block_lut` (O(n/8)) on the per-byte walk,
-        else per set bit (O(matched count)).  The no-match arm is the hot
+        report group.  The no-match arm is the hot
         one on low-activity workloads: one fused table row, one AND, and
         the next mask comes straight from the premasked start-successor
         table.
@@ -546,13 +399,9 @@ class BitsetStream(Stream):
         start_events = engine._start_events
         start_resets = engine._start_resets
         group_of = engine._group
-        nbytes = engine._nbytes
-        lut_get = engine._block_lut.get
-        lut_build = engine._lut_entry
         active = self.active_per_cycle
         offsets = reports.offsets
         groups = reports.groups
-        block = self._walk == _BYTE
         rest = self._rest
         pop = 0
         for offset, sym in enumerate(data[pos:end], base + pos):
@@ -563,21 +412,11 @@ class BitsetStream(Stream):
             if m:
                 pop += m.bit_count()
                 nxt = nxt0
-                if block:
-                    key = -256
-                    for byte in m.to_bytes(nbytes, "little"):
-                        key += 256
-                        if byte:
-                            entry = lut_get(key | byte)
-                            if entry is None:
-                                entry = lut_build(key | byte)
-                            nxt |= entry
-                else:
-                    mm = m
-                    while mm:
-                        low = mm & -mm
-                        nxt |= succ[low.bit_length() - 1]
-                        mm ^= low
+                mm = m
+                while mm:
+                    low = mm & -mm
+                    nxt |= succ[low.bit_length() - 1]
+                    mm ^= low
                 fired = None
                 if has_counters and (
                     start_events[sym] or start_resets[sym] or m & feed_int

@@ -10,13 +10,12 @@ STEs once and writes that model out — successor tuples, counter-feed and
 reset-wire maps, report ranks, start sets, counters — so each consumer
 only builds its own structures from it.
 
-:class:`SubsetMasks` is the same model as big-int masks, shared by the
-bitset engine, the lazy DFA, the ahead-of-time DFA and ``stride``.  It
-also holds the alphabet compression: symbols whose membership masks are
-equal form one class, so the lazy DFA computes a transition once per
-(state, class) and the ahead-of-time DFA keeps one column per class.  Its
-:meth:`SubsetMasks.slice` of one index interval steps a group of
-connected components alone (the bitset engine's memo walk).
+:class:`SubsetMasks` is the same model as big-int masks, with the
+alphabet compression (symbols whose membership masks are equal form one
+class).  :class:`SubsetMemo` is the one subset construction over it: the
+lazy DFA, the bitset engine's memo walk and the ahead-of-time DFA are
+each a memo over their groups of STEs; its docstring holds the
+thread-safety contract and the cap rules.
 
 :class:`~repro.engines.reference.ReferenceEngine` does not use this form:
 it is the ident-level oracle the lowered engines are tested against.
@@ -24,17 +23,19 @@ it is the ident-level oracle the lowered engines are tested against.
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from repro.core.automaton import Automaton
 from repro.core.elements import CounterElement, STE, StartMode
-from repro.engines.base import ReportTable
+from repro.engines.base import Group, ReportTable
 from repro.engines.reference import _CounterState
 
 __all__ = [
-    "Lowered", "SubsetMasks", "packed_charsets", "membership_masks", "bit_mask", "iter_bits",
+    "Lowered", "SubsetMasks", "SubsetMemo", "packed_charsets", "membership_masks",
+    "bit_mask", "iter_bits",
 ]
 
 _CHUNK = 65536  # states per chunk when building the packed charset matrix
@@ -223,8 +224,10 @@ class SubsetMasks:
         Edges that leave the interval are dropped, so the slice steps
         alone only when none does (a union of connected components).  It
         keeps this model's report ranks and alphabet classes, which refine
-        its own.
+        its own.  The slice of every STE is this model itself.
         """
+        if lo == 0 and hi == len(self.succ_masks):
+            return self
         width = (1 << (hi - lo)) - 1
         part = SubsetMasks.__new__(SubsetMasks)
         per_class = [(self.symbol_masks[symbols[0]] >> lo) & width for symbols in self.classes]
@@ -255,6 +258,153 @@ class SubsetMasks:
             nxt |= succ[low.bit_length() - 1]
             matched ^= low
         return ranks, nxt
+
+
+class SubsetMemo:
+    """Lazy subset construction over :class:`SubsetMasks`: the DFA memo.
+
+    The STEs split into *groups*, index intervals ``[lo, hi)`` that no
+    successor edge leaves, and each group steps its own subsets over its
+    :meth:`SubsetMasks.slice`.  The lazy DFA is the memo over the single
+    group ``[(0, n)]``, the bitset engine's memo walk the memo over its
+    connected components, and the ahead-of-time DFA fills every cell of
+    the single group.  A state is one group's subset, interned to a state
+    id (ids are unique over all groups).  A cell is (state, alphabet
+    class); each class ``c`` has its own tables indexed by state id:
+
+    * ``rows[c][s]``: the next state id, or None while the cell is unset
+      and when the step reports;
+    * ``matched[c][s]``: the step's matched non-start (not ALL_INPUT) STE
+      count;
+    * ``emits[c][s]``, reporting cells only: the next state id and the
+      step's :class:`~repro.engines.base.ReportBatch` group.
+
+    **Cap.**  The memo holds at most ``cap`` states, set by its caller
+    (the lazy DFA's ``max_dfa_states``, the ahead-of-time DFA's
+    ``max_states``, the bitset engine's ``MEMO_CELLS`` over its class
+    count).  :meth:`intern` returns None at the cap and sets :attr:`full`;
+    the cell whose step needed the state stays unset.  States are never
+    flushed: scans in flight hold their ids.
+
+    **Thread safety.**  One memo is shared by every thread that scans the
+    engine holding it (:mod:`repro.engines.cache` hands one engine to all
+    of them), so all growth — interning and cell writes — happens under
+    :attr:`lock`, and readers stay lock-free: they read published cells
+    only, and an unset cell (a None row without an emits entry) sends
+    them through :meth:`compute`, which re-checks under the lock.
+    Interning appends a state's slot to every class's tables before its id
+    can be read anywhere.  A cell's matched count is stored before its row
+    or emits entry, and the row (or emits entry, which carries the next
+    id with the report group) is the last store of a compute, so a reader
+    that sees the next id also sees what the step matched and reported.
+    """
+
+    def __init__(
+        self,
+        masks: SubsetMasks,
+        reports: ReportTable,
+        bounds: list[tuple[int, int]],
+        cap: int,
+    ) -> None:
+        nc = len(masks.classes)
+        self.masks = masks
+        self.reports = reports
+        self.bounds = bounds
+        self.cap = cap
+        self.lock = threading.Lock()
+        #: Per group: its :meth:`SubsetMasks.slice`, sliced on first compute.
+        self.slices: list[SubsetMasks | None] = [None] * len(bounds)
+        #: Per group: subset -> state id.
+        self.interned: list[dict[int, int]] = [{} for _ in bounds]
+        #: State id -> subset.
+        self.subsets: list[int] = []
+        self.rows: list[list[int | None]] = [[] for _ in range(nc)]
+        self.matched: list[list[int]] = [[] for _ in range(nc)]
+        self.emits: list[dict[int, tuple[int, Group]]] = [{} for _ in range(nc)]
+        #: Set once :meth:`intern` refused a state at the cap.
+        self.full = False
+
+    def intern(self, group: int, subset: int) -> int | None:
+        """The state id of ``subset`` in ``group``; None at the cap.  The
+        caller holds :attr:`lock`."""
+        interned = self.interned[group]
+        sid = interned.get(subset)
+        if sid is None:
+            sid = len(self.subsets)
+            if sid >= self.cap:
+                self.full = True
+                return None
+            for row in self.rows:
+                row.append(None)
+            for counts in self.matched:
+                counts.append(0)
+            self.subsets.append(subset)
+            interned[subset] = sid
+        return sid
+
+    def enter(self, subset: int) -> list[int] | None:
+        """The group states of the STE subset ``subset``; None at the cap."""
+        states = []
+        with self.lock:
+            for group, (lo, hi) in enumerate(self.bounds):
+                sid = self.intern(group, (subset >> lo) & ((1 << (hi - lo)) - 1))
+                if sid is None:
+                    return None
+                states.append(sid)
+        return states
+
+    def leave(self, states: list[int]) -> int:
+        """The STE subset of the group states ``states``."""
+        subsets = self.subsets
+        subset = 0
+        for (lo, _hi), sid in zip(self.bounds, states):
+            subset |= subsets[sid] << lo
+        return subset
+
+    def enabled(self, states: list[int]) -> int:
+        """Enabled STEs in the group states ``states``."""
+        return sum(map(int.bit_count, map(self.subsets.__getitem__, states)))
+
+    def compute(self, group: int, sid: int, c: int) -> tuple[int, Group] | None:
+        """Fill the cell of state ``sid`` (in ``group``) on class ``c``; its
+        next state id and report group (``()`` if it does not report), or
+        None if the next state would go over the cap."""
+        with self.lock:
+            # Another thread may have filled the cell since the lock-free
+            # read of None.
+            nid = self.rows[c][sid]
+            if nid is not None:
+                return nid, ()
+            cell = self.emits[c].get(sid)
+            if cell is not None:
+                return cell
+            masks = self.slices[group]
+            if masks is None:
+                masks = self.slices[group] = self.masks.slice(*self.bounds[group])
+            subset = self.subsets[sid]
+            symbol = masks.classes[c][0]
+            ranks, nxt = masks.step(subset, symbol)
+            nid = self.intern(group, nxt)
+            if nid is None:
+                return None
+            self.matched[c][sid] = (
+                subset & masks.symbol_masks[symbol] & ~masks.all_input
+            ).bit_count()
+            # Publish last (see the class docstring).  A reporting cell
+            # keeps None in its row, so readers always look it up here.
+            if ranks:
+                cell = self.emits[c][sid] = (nid, self.reports.group(ranks))
+                return cell
+            self.rows[c][sid] = nid
+            return nid, ()
+
+    def cells(self) -> tuple[int, int, int]:
+        """The memo's allocated, filled and reporting cell counts (filled
+        counts the reporting cells too)."""
+        allocated = len(self.subsets) * len(self.rows)
+        reporting = sum(map(len, self.emits))
+        unset = sum(row.count(None) for row in self.rows) - reporting
+        return allocated, allocated - unset, reporting
 
 
 def bit_mask(indices: Iterable[int]) -> int:

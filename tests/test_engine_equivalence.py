@@ -138,14 +138,31 @@ def test_bitset_streaming_chunks_agree(automaton, data, chunk):
 
 @settings(max_examples=100, deadline=None)
 @given(automaton=any_automata(with_counters=True), data=inputs)
-def test_bitset_block_path_agrees(automaton, data):
-    """The per-byte walk, the dense walk of automata with counters, is
-    semantically identical to the per-bit walk (the density heuristic may
-    only affect speed, never results)."""
+def test_bitset_walk_without_memo_room_agrees(automaton, data):
+    """With no memo (automata with counters) or no room in it, every block
+    runs the per-bit walk, however dense, and agrees with the reference
+    engine: a memo walk the memo cannot enter becomes the per-bit walk."""
+    from unittest import mock
+
+    from repro.engines import bitset
+
     ref = ReferenceEngine(automaton).run(data, record_active=True)
-    stream = BitsetEngine(automaton).stream(record_active=True)
-    stream._set_walk("byte")
+    with mock.patch.object(bitset, "MEMO_CELLS", 0):
+        engine = BitsetEngine(automaton)
+    engine._memo_cutover = -1  # every block asks for the memo walk
+    stream = engine.stream(record_active=True)
+    if engine._memo is not None:
+        stream._set_walk("memo")
+    walks = [stream._walk]
+    block = stream._block
+
+    def spy(*args):
+        block(*args)
+        walks.append(stream._walk)
+
+    stream._block = spy
     reports = stream.feed(data)
+    assert set(walks) == {"bit"}
     assert reports == ref.reports
     assert stream.active_per_cycle == ref.active_per_cycle
 
@@ -205,8 +222,8 @@ def test_bitset_memo_walk_edges(automaton, data, repeat, chunk, record_active, r
     and odd-length chunks across block boundaries, ``record_active`` on and
     off, and a :data:`MEMO_CELLS` cap anywhere from too small to enter to
     just enough, so the walk trips at any symbol of a block and finishes
-    it per-byte.  Every walk sums the same matched count as the per-bit
-    walk alone."""
+    it on the per-bit walk, where the stream stays.  Every walk sums the
+    same matched count as the per-bit walk alone."""
     from unittest import mock
 
     from repro.engines import bitset
@@ -214,7 +231,7 @@ def test_bitset_memo_walk_edges(automaton, data, repeat, chunk, record_active, r
     data *= repeat
     ref = ReferenceEngine(automaton).run(data, record_active=True)
     sparse = BitsetEngine(automaton)
-    sparse._memo_cutover = sparse._block_cutover = float("inf")
+    sparse._memo_cutover = float("inf")
     stream = sparse.stream()
     per_bit = _matched_per_walk(stream)
     stream.feed(data)
@@ -238,7 +255,7 @@ def test_bitset_memo_walk_edges(automaton, data, repeat, chunk, record_active, r
         batches = [stream.feed(data[i : i + chunk]) for i in range(0, len(data), chunk)]
     assert engine._memo.full == (cap < needed)
     assert engine._memo.cells()[0] <= cap
-    assert (stream._walk == "memo") == (cap >= needed)
+    assert stream._walk == ("memo" if cap >= needed else "bit")
     assert ReportBatch.concat(batches) == ref.reports
     assert stream.offset == ref.cycles
     if record_active:
@@ -266,40 +283,43 @@ def _dense_mesh(counter: bool) -> Automaton:
 
 
 def test_bitset_density_heuristic_switches_paths():
-    """A dense always-matching mesh pushes the stream onto the dense walk
-    (the memo walk without counters, the per-byte walk with them); a dead
-    stretch of input drops it back to the per-bit walk.  Reports and
-    active-set counts agree with the reference engine across both
+    """A dense always-matching mesh pushes the stream onto the memo walk,
+    and a dead stretch of input drops it back to the per-bit walk; with a
+    counter the mesh has no memo and stays on the per-bit walk.  Reports
+    and active-set counts agree with the reference engine across both
     switches, whether they fall between feeds or inside one."""
-    for counter, dense_walk in ((False, "memo"), (True, "byte")):
-        _check_walk_switches(_dense_mesh(counter), dense_walk)
-
-
-def _check_walk_switches(a: Automaton, dense_walk: str) -> None:
     data = b"a" * 600 + b"b" * 600 + b"a" * 10
-    ref = ReferenceEngine(a).run(data, record_active=True)
-    stream = BitsetEngine(a).stream(record_active=True)
-    assert stream._walk == "bit"
-    batches = [stream.feed(b"a" * 600)]
-    assert stream._walk == dense_walk  # dense stretch: matched count >> cutover
-    batches.append(stream.feed(b"b" * 600))
-    assert stream._walk == "bit"  # dead stretch: back to the sparse path
-    batches.append(stream.feed(b"a" * 10))
-    assert ReportBatch.concat(batches) == ref.reports
-    assert stream.active_per_cycle == ref.active_per_cycle
+    for counter in (False, True):
+        a = _dense_mesh(counter)
+        ref = ReferenceEngine(a).run(data, record_active=True)
+        engine = BitsetEngine(a)
+        assert (engine._memo is None) == counter
+        stream = engine.stream(record_active=True)
+        assert stream._walk == "bit"
+        batches = [stream.feed(b"a" * 600)]
+        # Dense stretch: the matched count is far above the memo cutover.
+        assert stream._walk == ("bit" if counter else "memo")
+        batches.append(stream.feed(b"b" * 600))
+        assert stream._walk == "bit"  # dead stretch: back to the sparse path
+        batches.append(stream.feed(b"a" * 10))
+        assert ReportBatch.concat(batches) == ref.reports
+        assert stream.active_per_cycle == ref.active_per_cycle
+        _check_walk_switches(a, data, ref, "bit" if counter else "memo")
 
-    # One feed: the first 512-symbol block runs 16 symbols per-bit and
-    # the rest dense, the second block dense, the third per-bit.  Only the
-    # dense walk fills its memo (the engine's memoised byte table, or the
-    # memo walk's cells), which shows the walk each stretch really took.
+
+def _check_walk_switches(a: Automaton, data: bytes, ref, dense_walk: str) -> None:
+    """One feed: the first 512-symbol block runs 16 symbols per-bit and
+    the rest on ``dense_walk``, the second block on ``dense_walk``, the
+    third per-bit.  Only the memo walk fills memo cells, which shows the
+    walk each stretch really took."""
     engine = BitsetEngine(a)
     stream = engine.stream(record_active=True)
     walks = []
     scan = stream._block
+    memo = engine._memo
 
     def filled():
-        memo = engine._memo
-        return len(engine._block_lut) + (0 if memo is None else memo.cells()[1])
+        return 0 if memo is None else memo.cells()[1]
 
     def spy(*args):
         walk = stream._walk
@@ -309,15 +329,15 @@ def _check_walk_switches(a: Automaton, dense_walk: str) -> None:
 
     stream._block = spy
     assert stream.feed(data) == ref.reports
-    assert walks[:2] == [("bit", False), (dense_walk, True)]
+    assert walks[:2] == [("bit", False), (dense_walk, dense_walk == "memo")]
     assert walks[2][0] == dense_walk and walks[3:] == [("bit", False)]
     assert stream._walk == "bit"
     assert stream.active_per_cycle == ref.active_per_cycle
     # Every stream picks its own walk: a new one starts per-bit, whatever
     # the walk other streams of the engine are on.
-    dense = engine.stream()
-    dense.feed(b"a" * 100)
-    assert dense._walk == dense_walk
+    dense_stream = engine.stream()
+    dense_stream.feed(b"a" * 100)
+    assert dense_stream._walk == dense_walk
     assert engine.stream()._walk == "bit"
 
 
@@ -400,10 +420,10 @@ def test_bitset_memo_walk_cutover():
         assert walks == {"bit"}
 
 
-def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
-    """At the memo cap, the stream finishes the block on the per-byte walk
-    and stays on the per-byte walk as its dense walk; reports and active
-    counts do not change, and no scan raises over a memo budget."""
+def test_bitset_memo_cap_falls_back_to_bit_walk(monkeypatch):
+    """At the memo cap, the stream finishes the block on the per-bit walk
+    and stays there; reports and active counts equal those of the per-bit
+    walk alone, and no scan raises over a memo budget."""
     from repro.engines import bitset
     from repro.resilience.guards import ScanBudget, ScanGuard, guard_scope
 
@@ -416,11 +436,8 @@ def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
     cells = grown._memo.cells()[0]
     monkeypatch.setattr(bitset, "MEMO_CELLS", cells // 2)
     engine = BitsetEngine(mesh)
-    # The mesh's 140 matched states per symbol are under the per-byte
-    # walk's own cutover (n / 4); lower it so the trip's dense walk shows.
-    engine._block_cutover = 4
     stream = engine.stream(record_active=True)
-    walks = []  # (walk at block start, walk of its per-bit/per-byte part)
+    walks = []  # (walk at block start, walk of its per-bit part)
     scan, mask_scan = stream._scan, stream._mask_scan
 
     def spy(*args):
@@ -436,15 +453,15 @@ def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
         reports = stream.feed(read)
     assert engine._memo.full
     assert engine._memo.cells()[0] <= cells // 2
-    trip = walks.index(["memo", "byte"])  # entered, then tripped mid-block
+    trip = walks.index(["memo", "bit"])  # entered, then tripped mid-block
     assert walks[:trip] == [["bit", "bit"]] + [["memo", None]] * (trip - 1)
-    assert walks[trip + 1 :] == [["byte", "byte"]] * (len(walks) - trip - 1)
+    assert walks[trip + 1 :] == [["bit", "bit"]] * (len(walks) - trip - 1)
     assert reports == expected.reports
     assert stream.active_per_cycle == expected.active_per_cycle
     # Streams in flight keep their states; new ones never enter the walk.
     stream = engine.stream()
     assert stream.feed(read).offsets == expected.reports.offsets
-    assert stream._walk != "memo"
+    assert stream._walk == "bit"
 
 
 @settings(max_examples=50, deadline=None)
@@ -452,27 +469,30 @@ def test_bitset_memo_cap_falls_back_to_byte_walk(monkeypatch):
 def test_dfa_memoisation_is_input_independent(automaton, data, split):
     """Running other inputs first must not change results (memo soundness).
 
-    Also pins the invariant the lock-free scan loop relies on: a state's
-    has-emit bits name exactly its memoised emit entries, and each of those
-    symbols' transitions is published.  And one compute fills a whole
-    alphabet class: symbols that every STE matches alike share their
-    transition (all -1 or one id) and their emit entry in every row."""
+    Also pins the shared tables the lock-free scan loop reads: one table
+    per alphabet class (symbols that every STE matches alike), each with a
+    slot per state; a filled cell is in ``rows`` or in ``emits``, never
+    both; every emitted cell reports, and every next id is interned."""
     split = min(split, len(data))
     eng = LazyDFAEngine(automaton)
     eng.run(data[split:])  # warm the memo with a different stream
     eng.run(b"z" + data[:split])  # and touch the class of unused symbols
     fresh = LazyDFAEngine(automaton).run(data)
     assert eng.run(data).reports == fresh.reports
-    classes: dict[tuple[bool, ...], list[int]] = {}
-    stes = list(automaton.stes())
-    for symbol in range(256):
-        column = tuple(ste.charset.matches(symbol) for ste in stes)
-        classes.setdefault(column, []).append(symbol)
-    for sid in range(eng.dfa_state_count):
-        bits = eng._emit_bits[sid]
-        emit_symbols = {symbol for symbol in range(256) if (bits >> symbol) & 1}
-        assert emit_symbols == set(eng._emits[sid])
-        assert all(eng._trans[sid][symbol] >= 0 for symbol in emit_symbols)
-        for symbols in classes.values():
-            assert len({eng._trans[sid][symbol] for symbol in symbols}) == 1
-            assert len({eng._emits[sid].get(symbol) for symbol in symbols}) == 1
+    columns = {
+        tuple(ste.charset.matches(symbol) for ste in automaton.stes())
+        for symbol in range(256)
+    }
+    memo = eng._memo
+    states = eng.dfa_state_count
+    assert len(memo.rows) == len(memo.emits) == len(columns)
+    for row, emits in zip(memo.rows, memo.emits):
+        assert len(row) == states
+        for sid, nid in enumerate(row):
+            if nid is not None:
+                assert sid not in emits
+                assert 0 <= nid < states
+        for sid, (nid, group) in emits.items():
+            assert row[sid] is None
+            assert group
+            assert 0 <= nid < states

@@ -189,14 +189,11 @@ class TestEngineInstrumentation:
         data = b"a" * 600 + b"b" * 600 + b"a" * 10
         BitsetEngine(mesh).run(data)  # per-bit, memo, per-bit walks
         assert telemetry.counter_value("engine.matched_states.bitset") == 9120
-        # The memo and per-byte walks count exactly what the per-bit walk
-        # does (an engine without its memo takes the per-byte walk).
-        for cutover, first_walk in ((float("inf"), "bit"), (-1, "memo"), (-1, "byte")):
+        # The memo walk counts exactly what the per-bit walk does.
+        for cutover, first_walk in ((float("inf"), "bit"), (-1, "memo")):
             telemetry.reset()
             engine = BitsetEngine(mesh)
-            engine._memo_cutover = engine._block_cutover = cutover
-            if first_walk == "byte":
-                engine._memo = None
+            engine._memo_cutover = cutover
             stream = engine.stream()
             stream._set_walk(first_walk)
             stream.feed(data)

@@ -118,6 +118,31 @@ def test_engine_streams_share_the_feed_frame():
     assert not problems, "\n".join(problems)
 
 
+def test_subset_step_has_one_caller():
+    """``SubsetMasks.step`` is called only inside ``SubsetMemo``, so the
+    lazy DFA, the bitset memo walk and the ahead-of-time DFA share one
+    subset construction (one lock, one publish order, one cap) instead of
+    each growing its own memo.  Any ``.step(...)`` call in the package
+    counts."""
+    problems = []
+    for path in sorted(SRC.rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        allowed = set()
+        if path == SRC / "engines" / "lowered.py":
+            for node in tree.body:
+                if isinstance(node, ast.ClassDef) and node.name == "SubsetMemo":
+                    allowed = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "step"
+                and id(node) not in allowed
+            ):
+                problems.append(f"{path.relative_to(REPO)}:{node.lineno}: calls .step")
+    assert not problems, "\n".join(problems)
+
+
 def test_src_compiles_with_warnings_as_errors():
     """Every module byte-compiles; syntax rot fails fast even for files
     no test currently imports."""
